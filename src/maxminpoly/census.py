@@ -25,10 +25,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from . import factor
+from . import __version__, factor
 from .core import MaxMinPoly, check_base, mul_coeffs
 from .errors import BudgetExceeded
-from .factor import IRREDUCIBLE, MONOMIAL, REDUCIBLE
+from .factor import REDUCIBLE
 
 ALL_VECTORS = "all-vectors"
 EXACT_DEGREE = "exact-degree"
@@ -158,51 +158,25 @@ def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusReco
     """Classify every vector in a lexicographic index range."""
     check_base(b)
     total = monomials = irreducible = reducible = candidates = primes = 0
-    identity = (b - 1,)
-    if b == 2:
-        for vec in iter_vectors(b, n, space, start, end):
-            m = 0
-            for k in range(n):
-                if vec[k]:
-                    m |= 1 << k
-            if m == 0:
-                continue
-            total += 1
-            if m & (m - 1) == 0:
-                monomials += 1
-                if m == 1:
-                    candidates += 1
-                    primes += 1
-                continue
-            if factor._b2_reducible(m):
-                reducible += 1
-                if m & 1:
-                    candidates += 1
-            else:
-                irreducible += 1
-                if m & 1:
-                    candidates += 1
-                    primes += 1
-        return CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
     for vec in iter_vectors(b, n, space, start, end):
         end_i = n
         while end_i and vec[end_i - 1] == 0:
             end_i -= 1
-        coeffs = vec[:end_i]
-        if not coeffs:
+        if not end_i:
             continue
+        coeffs = vec[:end_i]
         total += 1
-        kind, _ = factor._classify_generic(b, coeffs)
-        if kind == MONOMIAL:
+        # a candidate monomial is the constant b-1, which is prime
+        candidate = coeffs[0] != 0 and max(coeffs) == b - 1
+        candidates += candidate
+        if end_i - coeffs.count(0) == 1:
             monomials += 1
-        elif kind == IRREDUCIBLE:
-            irreducible += 1
-        else:
+            primes += candidate
+        elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
             reducible += 1
-        if coeffs[0] != 0 and max(coeffs) == b - 1:
-            candidates += 1
-            if kind == IRREDUCIBLE or coeffs == identity:
-                primes += 1
+        else:
+            irreducible += 1
+            primes += candidate
     return CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
 
 
@@ -240,18 +214,24 @@ def census_with_checkpoint(
 
     An interrupted run resumes from the shards already on disk; completed
     shards are merged by the associative record addition, so the result is
-    independent of the shard schedule.
+    independent of the shard schedule.  The header records the census, the
+    shard size and the package version, and a checkpoint whose header does
+    not match is rejected, since shards of another layout would overlap.
+    Each write goes to a temporary file that then replaces the checkpoint,
+    so a crash leaves the previous checkpoint intact.
     """
     _check_budget(b, n, budget, force)
     path = Path(path)
     size = space_size(b, n, space)
+    header = {"b": b, "n": n, "space": space, "shard_size": shard_size, "version": __version__}
     shards: list[dict] = []
     if path.exists():
         state = json.loads(path.read_text())
-        if (state["b"], state["n"], state["space"]) != (b, n, space):
-            raise ValueError(f"checkpoint {path} belongs to a different census")
+        if {key: state.get(key) for key in header} != header:
+            raise ValueError(f"checkpoint {path} belongs to a different census, shard size or version")
         shards = state["shards"]
     done = {(s["range_start"], s["range_end"]) for s in shards}
+    tmp = Path(f"{path}.tmp")
     start = 0
     while start < size:
         end = min(start + shard_size, size)
@@ -260,9 +240,8 @@ def census_with_checkpoint(
             shards.append(
                 {"range_start": start, "range_end": end, "partial": asdict(partial)}
             )
-            path.write_text(
-                json.dumps({"b": b, "n": n, "space": space, "shards": shards})
-            )
+            tmp.write_text(json.dumps({**header, "shards": shards}))
+            os.replace(tmp, path)
         start = end
     merged = CensusRecord(b, n, space, 0, 0, 0, 0, 0, 0)
     for s in sorted(shards, key=lambda s: s["range_start"]):

@@ -385,12 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", None) and args.threads > 1:
+        parser.error("--resume runs one thread; drop --threads")
     try:
         args.func(args)
-    except MaxMinError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (MaxMinError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,30 +1,38 @@
 """Exact divisibility, factorization search and irreducibility/primality
 classification over max-min polynomial semirings.
 
+Everything runs on level planes.  The threshold maps f -> [f >= s] are
+semiring homomorphisms, so a base-b polynomial h is the b-1 nested boolean
+polynomials H_s = {k : h_k >= s}, and base 2 (sumsets) is the one-plane
+case.  The planes of h are packed into one int at stride W = len(h), plane
+s at bit offset (s-1)*W.
+
 Division uses residuation: for a fixed divisor g the set of f with
-f*g <= h (coefficientwise) has a maximum f*, computable per coefficient as
+f*g <= h (coefficientwise) has a maximum Q, whose planes are
 
-    f*[i] = min over j of ( h[i+j]  if g[j] > h[i+j]  else  b-1 ).
+    Q_s = AND over j with g_j > 0 of ( H_min(s, g_j) >> j ),
 
-g divides h exactly when f* * g == h, and any exact quotient is <= f*
-pointwise, so checking the single maximal candidate decides divisibility.
+and g divides h exactly when Q*g == h, checked plane by plane as
+(Q*g)_s = OR over j with g_j >= s of (Q_s << j).  Any exact quotient is
+<= Q pointwise, so the single maximal candidate decides divisibility.
 
 A polynomial is irreducible when every factorization has a monomial
-factor.  The witness search enumerates candidate divisors g with
-1 <= deg g <= floor(deg h / 2) in (degree, lexicographic) order over the
-little-endian coefficient tuples, prunes candidates whose boolean support
-fails to divide the support of h, and returns the first verified witness,
-which makes classification deterministic.  Base-2 polynomials run on a
-packed-bitmask path; both paths enumerate identically.
+factor.  One depth-first search decides it and finds the witness: it fixes
+a divisor g of degree 1 <= deg g <= deg h / 2 one coefficient at a time,
+lowest first, ANDing each choice into Q and cutting a subtree as soon as Q
+cannot carry the quotient's end terms.  Leaves come in (degree,
+lexicographic) order over the little-endian coefficient tuples, so the
+first exact leaf is the first witness in that order, which makes
+classification deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
-from .core import MaxMinPoly, mul_coeffs, support_mask
+from .core import MaxMinPoly, mul_coeffs
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -99,7 +107,65 @@ def is_prime_candidate(f: MaxMinPoly) -> bool:
     return candidate_reason(f) is None
 
 
-# -- residuation ------------------------------------------------------------
+# -- level planes --------------------------------------------------------------
+
+
+def _repeat(width: int, count: int) -> int:
+    """count copies of bit 0 at stride width: multiplying a plane by this
+    copies it into `count` consecutive planes."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def _pack(b: int, coeffs: Sequence[int], width: int) -> int:
+    """Planes {k : c_k >= s} of a coefficient tuple, s = 1..b-1, packed
+    into one int with plane s at bit offset (s-1)*width."""
+    columns = [0] * b
+    for s in range(1, b):
+        columns[s] = columns[s - 1] | 1 << ((s - 1) * width)
+    packed = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            packed |= columns[c] << k
+    return packed
+
+
+def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
+    """Coefficient tuple of `length` terms from nested packed planes."""
+    out = [0] * length
+    mask = (1 << length) - 1
+    while packed:
+        for k, bit in enumerate(bin(packed & mask)[:1:-1]):
+            if bit == "1":
+                out[k] += 1
+        packed >>= width
+    return tuple(out)
+
+
+def _saturations(b: int, packed: int, width: int) -> list[int]:
+    """sat[v] for v = 1..b-1: plane s of sat[v] is plane min(s, v) of
+    `packed`, the planes of h that bound a quotient term against g_j = v."""
+    sat = [0] * (b - 1) + [packed]
+    for v in range(1, b - 1):
+        plane = (packed >> ((v - 1) * width)) & ((1 << width) - 1)
+        sat[v] = packed & ((1 << (v * width)) - 1) | plane * _repeat(width, b - 1 - v) << (v * width)
+    return sat
+
+
+def _times(q: int, g: Sequence[int], width: int) -> int:
+    """Packed planes of q*g: plane s is the OR of (plane s of q) << j over
+    the j with g_j >= s.  Needs len(q) + len(g) - 1 <= width."""
+    prod = 0
+    for j, v in enumerate(g):
+        if v:
+            prod |= (q & ((1 << (v * width)) - 1)) << j
+    return prod
+
+
+def _levels(b: int, h: Sequence[int]) -> tuple[int, list[int], int]:
+    """The packed planes of h, their saturations, and bit 0 of every plane."""
+    width = len(h)
+    packed = _pack(b, h, width)
+    return packed, _saturations(b, packed, width), _repeat(width, b - 1)
 
 
 def residual_coeffs(b: int, h: Sequence[int], g: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -107,46 +173,15 @@ def residual_coeffs(b: int, h: Sequence[int], g: Sequence[int]) -> Optional[tupl
 
     Requires h, g nonzero canonical with len(g) <= len(h).
     """
-    dh = len(h) - 1
-    dg = len(g) - 1
-    df = dh - dg
-    top = b - 1
-    gsup = [(j, bj) for j, bj in enumerate(g) if bj]
-    q = []
-    for i in range(df + 1):
-        lim = top
-        for j, bj in gsup:
-            gamma = h[i + j]
-            if bj > gamma and gamma < lim:
-                lim = gamma
-        q.append(lim)
-    if q[df] == 0:
+    target, sat, every_plane = _levels(b, h)
+    df = len(h) - len(g)
+    q = ((1 << (df + 1)) - 1) * every_plane
+    for j, v in enumerate(g):
+        if v:
+            q &= sat[v] >> j
+    if _times(q, g, len(h)) != target:
         return None
-    if mul_coeffs(q, g) != tuple(h):
-        return None
-    return tuple(q)
-
-
-def _b2_quotient(h: int, g: int) -> Optional[int]:
-    """Exact quotient of base-2 bitmask polynomials, or None."""
-    df = (h.bit_length() - 1) - (g.bit_length() - 1)
-    q = (1 << (df + 1)) - 1
-    gg = g
-    j = 0
-    while gg:
-        if gg & 1:
-            q &= h >> j
-        gg >>= 1
-        j += 1
-    prod = 0
-    gg = g
-    j = 0
-    while gg:
-        if gg & 1:
-            prod |= q << j
-        gg >>= 1
-        j += 1
-    return q if prod == h else None
+    return _unpack(q, len(h), df + 1)
 
 
 def residual_divide(h: MaxMinPoly, g: MaxMinPoly) -> Optional[MaxMinPoly]:
@@ -159,9 +194,6 @@ def residual_divide(h: MaxMinPoly, g: MaxMinPoly) -> Optional[MaxMinPoly]:
         raise BaseMismatch(f"bases differ: {h.base} vs {g.base}")
     if len(g.coeffs) > len(h.coeffs):
         raise DegreeTooLarge("divisor degree exceeds dividend degree")
-    if h.base == 2:
-        q = _b2_quotient(support_mask(h.coeffs), support_mask(g.coeffs))
-        return None if q is None else _poly_from_mask(q)
     q = residual_coeffs(h.base, h.coeffs, g.coeffs)
     return None if q is None else MaxMinPoly(h.base, q)
 
@@ -179,175 +211,108 @@ def divides(g: MaxMinPoly, h: MaxMinPoly) -> bool:
     return residual_divide(h, g) is not None
 
 
-# -- candidate divisors for the witness search ------------------------------
+# -- the divisor search ----------------------------------------------------------
 
 
-def _mask_lex_key(g: int, dg: int) -> tuple[int, ...]:
-    return tuple((g >> j) & 1 for j in range(dg + 1))
+def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[[tuple[int, ...], int], bool]) -> bool:
+    """Call visit(g, q) for every g with g[0] != 0 and degree in `degrees`
+    whose maximal quotient q (packed at stride len(h)) is exact and
+    non-monomial, in (degree, lexicographic) order of g; stop and return
+    True once visit does.  Requires h[0] != 0.
 
-
-def _b2_candidate_masks(h: int, dg: int) -> list[int]:
-    """Non-monomial degree-dg bitmasks that can divide h, in lex order.
-
-    Every divisor g of h satisfies ord(g) <= ord(h) and, writing
-    t = ord(h), supp(g) shifted by (t - ord(g)) sits inside supp(h).
+    g is fixed one coefficient at a time from the constant term up,
+    trying 0 and then increasing values, and each choice ANDs into q.
+    g[0] starts at h[0] and the lead of g at the lead of h, since the end
+    terms of h are the minima of those of g and q.  Since q only shrinks,
+    a subtree is cut once q can no longer carry the quotient's constant
+    term (>= h[0]) and leading term (>= the lead of h), which also keeps q
+    from dropping to one term.  A larger value at a position leaves a
+    smaller q, so the first value that cuts ends the loop over that
+    position.
     """
-    t = (h & -h).bit_length() - 1
-    top = 1 << dg
-    cands: list[int] = []
-    for og in range(0, min(t, dg - 1) + 1):
-        allowed = h >> (t - og)
-        if not (allowed >> og) & 1 or not (allowed >> dg) & 1:
-            continue
-        middle = allowed & (top - 1) & ~((1 << (og + 1)) - 1)
-        bm = (1 << og) | top
-        sub = middle
-        while True:
-            cands.append(bm | sub)
-            if sub == 0:
+    width = len(h)
+    target, sat, every_plane = _levels(b, h)
+    low, lead = h[0], h[-1]
+
+    def extend(j: int, q: int) -> bool:
+        # g is fixed below j and zero from j up: try g[j:dg] all zero, then
+        # the next nonzero coefficient at dg-1, dg-2, ..., j, which is the
+        # lexicographic order of what follows.
+        for v in range(lead, b):
+            qv = q & (sat[v] >> dg)
+            if qv & need != need:
                 break
-            sub = (sub - 1) & middle
-    cands.sort(key=lambda g: _mask_lex_key(g, dg))
-    return cands
-
-
-def _b2_classify(h: int) -> tuple[str, Optional[tuple[int, int]]]:
-    """Classify a base-2 bitmask polynomial; witness as (g, q) masks."""
-    if h & (h - 1) == 0:
-        return (MONOMIAL, None)
-    dh = h.bit_length() - 1
-    for dg in range(1, dh // 2 + 1):
-        for g in _b2_candidate_masks(h, dg):
-            q = _b2_quotient(h, g)
-            if q is not None and q & (q - 1):
-                return (REDUCIBLE, (g, q))
-    return (IRREDUCIBLE, None)
-
-
-def _b2_reducible_dfs(h: int, q: int, g: int, bits: tuple[int, ...], idx: int) -> bool:
-    """DFS over optional divisor-support bits with an accumulated quotient.
-
-    q is the AND of (h >> j) over the bits already in g; adding bits only
-    shrinks it, so a quotient already down to one bit prunes the subtree.
-    """
-    if not q & (q - 1):
+            g[dg] = v
+            if _times(qv, g, width) == target and visit(tuple(g), qv):
+                return True
+        for k in range(dg - 1, j - 1, -1):
+            for v in range(1, b):
+                qv = q & (sat[v] >> k)
+                if qv & need != need:
+                    break
+                g[k] = v
+                if extend(k + 1, qv):
+                    return True
+            g[k] = 0
         return False
-    if idx == len(bits):
-        prod = 0
-        gg = g
-        j = 0
-        while gg:
-            if gg & 1:
-                prod |= q << j
-            gg >>= 1
-            j += 1
-        return prod == h
-    if _b2_reducible_dfs(h, q, g, bits, idx + 1):
-        return True
-    j = bits[idx]
-    return _b2_reducible_dfs(h, q & (h >> j), g | (1 << j), bits, idx + 1)
 
-
-def _b2_reducible(h: int) -> bool:
-    """Order-free reducibility test for a base-2 bitmask polynomial.
-
-    Same outcome as _b2_classify(h)[0] == REDUCIBLE, without the witness
-    bookkeeping; used on enumeration and sampling hot paths.
-    """
-    if h & (h - 1) == 0:
-        return False
-    dh = h.bit_length() - 1
-    t = (h & -h).bit_length() - 1
-    for dg in range(1, dh // 2 + 1):
-        qmask = (1 << (dh - dg + 1)) - 1
-        for og in range(min(t, dg - 1) + 1):
-            allowed = h >> (t - og)
-            if not (allowed >> og) & 1 or not (allowed >> dg) & 1:
-                continue
-            middle = allowed & ((1 << dg) - 1) & ~((1 << (og + 1)) - 1)
-            bits = []
-            j = og + 1
-            mm = middle >> j
-            while mm:
-                if mm & 1:
-                    bits.append(j)
-                mm >>= 1
-                j += 1
-            q0 = qmask & (h >> og) & (h >> dg)
-            if _b2_reducible_dfs(h, q0, (1 << og) | (1 << dg), tuple(bits), 0):
+    least = min(low, lead)
+    for dg in degrees:
+        df = width - 1 - dg
+        # the end terms of g pin q's end terms against h[dg] and h[df]
+        if h[dg] < least or h[df] < least:
+            continue
+        need = (1 << ((low - 1) * width)) | (1 << ((lead - 1) * width + df))
+        q = ((1 << (df + 1)) - 1) * every_plane & sat[low] & (sat[lead] >> dg)
+        g = [0] * (dg + 1)
+        for v in range(low, b):
+            qv = q & sat[v]
+            if qv & need != need:
+                break
+            g[0] = v
+            if extend(1, qv):
                 return True
     return False
 
 
-def _candidate_divisors(b: int, h: Sequence[int], dg: int) -> list[tuple[int, ...]]:
-    """Non-monomial degree-dg coefficient tuples that can divide h, lex order.
-
-    Prunes by: support shift-containment in supp(h); boolean divisibility
-    of the supports; leading coefficient >= lead(h); some coefficient
-    >= max(h); constant term >= h[0] when applicable.
-    """
-    h1 = support_mask(h)
-    maxh = max(h)
-    leadh = h[-1]
-    supports = set()
-    for s in _b2_candidate_masks(h1, dg):
-        if _b2_quotient(h1, s) is not None:
-            supports.add(s)
-    cands: list[tuple[int, ...]] = []
-    for s in sorted(supports):
-        positions = [j for j in range(dg + 1) if (s >> j) & 1]
-        lows = [1] * len(positions)
-        if positions[0] == 0 and h[0] > 0:
-            lows[0] = h[0]
-        lows[-1] = max(lows[-1], leadh)
-
-        def rec(idx: int, current: list[int], has_max: bool) -> None:
-            if idx == len(positions):
-                if has_max:
-                    cands.append(tuple(current))
-                return
-            pos = positions[idx]
-            last = idx == len(positions) - 1
-            for v in range(lows[idx], b):
-                current[pos] = v
-                ok = has_max or v >= maxh
-                if ok or not last:
-                    rec(idx + 1, current, ok)
-            current[pos] = 0
-
-        rec(0, [0] * (dg + 1), False)
-    cands.sort()
-    return cands
-
-
 def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Classify a raw canonical nonzero coefficient tuple over base b."""
-    nz = sum(1 for c in h if c)
-    if nz == 1:
+    """Classify a raw canonical nonzero coefficient tuple over base b; the
+    one search entry point behind classification, census and density.
+
+    The search runs on h / x^t, t = ord h, and puts x^t back onto the
+    quotient: a divisor of positive order would have a lower-degree
+    divisor of h / x^t in front of it, so the first witness is the same.
+    """
+    if len(h) - h.count(0) == 1:
         return (MONOMIAL, None)
-    dh = len(h) - 1
-    for dg in range(1, dh // 2 + 1):
-        for g in _candidate_divisors(b, h, dg):
-            q = residual_coeffs(b, h, g)
-            if q is not None and sum(1 for c in q if c) >= 2:
-                return (REDUCIBLE, (g, q))
-    return (IRREDUCIBLE, None)
+    t = 0
+    while not h[t]:
+        t += 1
+    found: list[tuple[tuple[int, ...], int]] = []
+
+    def first(g: tuple[int, ...], q: int) -> bool:
+        found.append((g, q))
+        return True
+
+    if not _divisors(b, h[t:], range(1, (len(h) - 1 - t) // 2 + 1), first):
+        return (IRREDUCIBLE, None)
+    g, q = found[0]
+    return (REDUCIBLE, (g, (0,) * t + _unpack(q, len(h) - t, len(h) - t - len(g) + 1)))
 
 
-def _poly_from_mask(m: int) -> MaxMinPoly:
-    return MaxMinPoly(2, tuple((m >> j) & 1 for j in range(m.bit_length())))
+def _b2_reducible(h: int) -> bool:
+    """The decision for a base-2 polynomial given as a bitmask of its
+    support; False for zero and monomials."""
+    if h & (h - 1) == 0:
+        return False
+    coeffs = tuple((h >> k) & 1 for k in range(h.bit_length()))
+    return _classify_generic(2, coeffs)[0] == REDUCIBLE
 
 
 def classify_irreducible(h: MaxMinPoly) -> Classification:
     """Monomial, Irreducible, or Reducible with the first witness found."""
     if h.is_zero():
         raise ZeroPolynomial("cannot classify the zero polynomial")
-    if h.base == 2:
-        kind, wit = _b2_classify(support_mask(h.coeffs))
-        if wit is None:
-            return Classification(kind)
-        g, q = wit
-        return Classification(REDUCIBLE, make_witness(h, _poly_from_mask(g), _poly_from_mask(q)))
     kind, witt = _classify_generic(h.base, h.coeffs)
     if witt is None:
         return Classification(kind)
@@ -382,12 +347,9 @@ def classify_prime(h: MaxMinPoly) -> PrimeStatus:
 # -- exhaustive factorization listings ---------------------------------------
 
 
-def _cofactors(b: int, h: Sequence[int], g: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All non-monomial f with f*g == h, in lex order."""
-    qmax = residual_coeffs(b, h, g)
-    if qmax is None:
-        return
-    df = len(h) - len(g)
+def _cofactors(h: Sequence[int], g: tuple[int, ...], qmax: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """All non-monomial f <= qmax with f*g == h, in lex order."""
+    df = len(qmax) - 1
     target = tuple(h)
 
     def rec(idx: int, current: list[int]) -> Iterator[tuple[int, ...]]:
@@ -407,7 +369,11 @@ def _cofactors(b: int, h: Sequence[int], g: tuple[int, ...]) -> Iterator[tuple[i
 
 def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list[FactorWitness]:
     """Every non-monomial x non-monomial factorization of h, deduplicated
-    as unordered pairs and listed in (deg g, g, f) lexicographic order."""
+    as unordered pairs and listed in (deg g, g, f) lexicographic order.
+
+    A divisor x^o * g' of h = x^t * h' pairs a divisor g' of h' with
+    o <= t; at one degree, a larger o sorts first.
+    """
     if h.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     out: list[FactorWitness] = []
@@ -415,14 +381,24 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
         return out
     b = h.base
     hc = h.coeffs
+    t = core.order(h)
+    stripped = hc[t:]
     dh = len(hc) - 1
     for dg in range(1, dh // 2 + 1):
         df = dh - dg
-        for g in _candidate_divisors(b, hc, dg):
-            for f in _cofactors(b, hc, g):
-                if dg == df and f < g:
-                    continue
-                out.append(FactorWitness(MaxMinPoly(b, g), MaxMinPoly(b, f)))
-                if max_results is not None and len(out) >= max_results:
-                    return out
+        for o in range(min(t, dg - 1), -1, -1):
+
+            def collect(g: tuple[int, ...], q: int) -> bool:
+                g = (0,) * o + g
+                qmax = (0,) * (t - o) + _unpack(q, len(stripped), df + o - t + 1)
+                for f in _cofactors(hc, g, qmax):
+                    if dg == df and f < g:
+                        continue
+                    out.append(FactorWitness(MaxMinPoly(b, g), MaxMinPoly(b, f)))
+                    if max_results is not None and len(out) >= max_results:
+                        return True
+                return False
+
+            if dg - o < dh - t and _divisors(b, stripped, (dg - o,), collect):
+                return out
     return out

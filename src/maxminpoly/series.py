@@ -24,8 +24,6 @@ import numpy as np
 from .core import MaxMinPoly, check_base
 from .errors import BaseMismatch, InsufficientSupport, WindowTooShort
 
-GENERATOR_ID = "numpy.PCG64"
-
 
 @dataclass(frozen=True, slots=True)
 class DigitStream:

@@ -108,16 +108,15 @@ def _draw_digits(rng: np.random.Generator, rows: int, config: ExperimentConfig) 
 def sample_stream(config: ExperimentConfig) -> Iterator[MaxMinPoly]:
     """The deterministic stream of sampled polynomials for a config."""
     for rng, size in _chunk_rngs(config.seed, config.trials):
-        block = _draw_digits(rng, size, config)
-        for row in block:
+        for row in _draw_digits(rng, size, config).tolist():
             yield MaxMinPoly(config.b, _trim_row(row))
 
 
-def _trim_row(row: np.ndarray) -> tuple[int, ...]:
+def _trim_row(row: list[int]) -> tuple[int, ...]:
     end = len(row)
     while end and row[end - 1] == 0:
         end -= 1
-    return tuple(int(c) for c in row[:end])
+    return tuple(row[:end])
 
 
 def sample_poly(config: ExperimentConfig) -> MaxMinPoly:
@@ -166,30 +165,14 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (lo, hi)
 
 
-def _b2_irreducible(mask: int) -> bool:
-    return mask & (mask - 1) != 0 and not factor._b2_reducible(mask)
-
-
-def _density_chunk(job: tuple[int, int, int, int, str, int]) -> int:
+def _density_chunk(job: tuple[np.random.Generator, int, ExperimentConfig]) -> int:
     """Irreducible draws in one seed-derived trial chunk (order-free)."""
-    seed, trials, b, n, space, chunk_idx = job
-    config = ExperimentConfig(seed=seed, trials=trials, b=b, n=n, space=space)
-    n_chunks = (trials + CHUNK - 1) // CHUNK
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    rng = np.random.Generator(np.random.PCG64(children[chunk_idx]))
-    size = min(CHUNK, trials - chunk_idx * CHUNK)
-    block = _draw_digits(rng, size, config)
+    rng, size, config = job
     hits = 0
-    if b == 2:
-        powers = 1 << np.arange(n, dtype=object)
-        for mask in block.astype(object) @ powers:
-            if mask and _b2_irreducible(int(mask)):
-                hits += 1
-    else:
-        for row in block:
-            coeffs = _trim_row(row)
-            if coeffs and factor._classify_generic(b, coeffs)[0] == factor.IRREDUCIBLE:
-                hits += 1
+    for row in _draw_digits(rng, size, config).tolist():
+        coeffs = _trim_row(row)
+        if coeffs and factor._classify_generic(config.b, coeffs)[0] == factor.IRREDUCIBLE:
+            hits += 1
     return hits
 
 
@@ -209,10 +192,7 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, th
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
     if b**n <= 1:
         raise BudgetExceeded("space too small to sample")
-    n_chunks = (config.trials + CHUNK - 1) // CHUNK
-    jobs = [
-        (config.seed, config.trials, b, n, config.space, i) for i in range(n_chunks)
-    ]
+    jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 

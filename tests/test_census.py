@@ -127,6 +127,40 @@ def test_checkpoint_rejects_other_census(tmp_path):
         census.census_with_checkpoint(2, 5, census.ALL_VECTORS, path)
 
 
+def test_checkpoint_rejects_other_shard_size(tmp_path):
+    path = tmp_path / "census.json"
+    rec = census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=100)
+    assert rec.total == 1023
+    with pytest.raises(ValueError):
+        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=64)
+    state = json.loads(path.read_text())
+    state["version"] = "0.0.0"
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError):
+        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=100)
+
+
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "census.json"
+    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    state = json.loads(path.read_text())
+    del state["shards"][3:]
+    before = json.dumps(state)
+    path.write_text(before)
+
+    def crash(src, dst):
+        raise OSError("crashed before the replace")
+
+    monkeypatch.setattr(census.os, "replace", crash)
+    with pytest.raises(OSError):
+        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    assert path.read_text() == before
+    monkeypatch.undo()
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    assert rec == census.census(2, 8)
+    assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
+
+
 # -- closed forms -----------------------------------------------------------------
 
 

@@ -79,6 +79,12 @@ def test_census_resume(tmp_path, capsys):
     assert first["record"] == second["record"]
 
 
+def test_census_resume_rejects_threads(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--b", "2", "--n", "9", "--resume", str(tmp_path / "ck.json"), "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_partition(capsys):
     rep = run_json(capsys, "partition", "--b", "2", "--n", "6", "--d", "2", "--v", "2")
     assert sum(rep["sizes"]) >= rep["sigma"]
@@ -142,6 +148,13 @@ def test_series_scan(tmp_path, capsys):
     assert "forbidden_occurrences" in rep
     rep = run_json(capsys, "series-scan", "--file", str(path), "--z-from", "2:1,1,1,1")
     assert rep["k"] == 4 and rep["report"]["empirical"] <= 1.0
+
+
+def test_missing_file_exit_code(tmp_path, capsys):
+    code = cli.main(["series-scan", "--file", str(tmp_path / "missing.txt"), "--pattern", "0,1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("FileNotFoundError: ") and len(err.strip().splitlines()) == 1
 
 
 def test_domain_error_exit_code(capsys):

@@ -1,5 +1,7 @@
 """Residual division, classification and factorization listings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from maxminpoly.errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from oracles import all_nonzero_tuples, oracle_reducible, product_table
+from oracles import all_nonzero_tuples, oracle_mul, oracle_reducible, product_table
 
 P = core.parse_poly
 
@@ -88,6 +90,18 @@ def test_residuation_maximality(pair):
     assert all(qc >= fc for qc, fc in zip(q.coeffs, f.coeffs))
 
 
+@pytest.mark.parametrize("b", (3, 10))
+def test_residual_divide_long(b):
+    rng = random.Random(b)
+    f = [rng.randrange(b) for _ in range(299)] + [rng.randrange(1, b)]
+    g = [rng.randrange(b) for _ in range(249)] + [rng.randrange(1, b)]
+    h = oracle_mul(b, f, g)
+    assert len(h) >= 512
+    q = factor.residual_divide(core.MaxMinPoly(b, h), core.MaxMinPoly(b, tuple(g)))
+    assert q is not None and oracle_mul(b, q.coeffs, g) == h
+    assert all(qc >= fc for qc, fc in zip(q.coeffs, f))
+
+
 # -- classification -----------------------------------------------------------
 
 
@@ -122,16 +136,36 @@ def test_classify_agrees_with_oracle_small():
                 assert kind == factor.IRREDUCIBLE, coeffs
 
 
-def test_generic_and_bitmask_paths_agree():
-    for coeffs in all_nonzero_tuples(2, 8):
-        kind_g, wit_g = factor._classify_generic(2, coeffs)
-        kind_b, wit_b = factor._b2_classify(support_mask(coeffs))
-        assert kind_g == kind_b
-        assert factor._b2_reducible(support_mask(coeffs)) == (kind_b == factor.REDUCIBLE)
-        if wit_g is not None:
-            g2 = tuple((wit_b[0] >> j) & 1 for j in range(wit_b[0].bit_length()))
-            q2 = tuple((wit_b[1] >> j) & 1 for j in range(wit_b[1].bit_length()))
-            assert wit_g == (g2, q2)
+def test_search_witness_is_first_oracle_factor():
+    # the first factor in (deg, lex) order with deg <= deg h / 2, paired
+    # with the pointwise max of its partners (the maximal quotient)
+    for b, max_deg in ((2, 10), (3, 6), (4, 4), (5, 4)):
+        table = product_table(b, max_deg)
+        for coeffs in all_nonzero_tuples(b, max_deg):
+            kind, wit = factor._classify_generic(b, coeffs)
+            if b == 2 and kind != factor.MONOMIAL:
+                assert factor._b2_reducible(support_mask(coeffs)) == (kind == factor.REDUCIBLE)
+            pairs = table.get(coeffs)
+            if pairs is None:
+                assert wit is None
+                continue
+            assert kind == factor.REDUCIBLE
+            half = (len(coeffs) - 1) // 2
+            g = min((x for pair in pairs for x in pair if len(x) - 1 <= half), key=lambda x: (len(x), x))
+            partners = [y for x, y in pairs if x == g] + [x for x, y in pairs if y == g]
+            assert wit == (g, tuple(max(cs) for cs in zip(*partners))), coeffs
+
+
+def test_shift_puts_x_power_on_the_quotient():
+    for b, max_deg in ((2, 7), (3, 4)):
+        for coeffs in all_nonzero_tuples(b, max_deg):
+            kind, wit = factor._classify_generic(b, coeffs)
+            for t in (1, 3):
+                shifted = factor._classify_generic(b, (0,) * t + coeffs)
+                if wit is None:
+                    assert shifted == (kind, None)
+                else:
+                    assert shifted == (kind, (wit[0], (0,) * t + wit[1]))
 
 
 @given(nonzero_pairs())
