@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import __version__, factor
-from .core import MaxMinPoly, check_base, mul_coeffs
+from .core import MaxMinPoly, _pack, _times, _unpack, check_base
 from .errors import BudgetExceeded
 from .factor import REDUCIBLE
 
@@ -146,7 +146,13 @@ def enumerate_polys(b: int, n: int, space: str = ALL_VECTORS) -> Iterator[MaxMin
         yield MaxMinPoly(b, vec[:end])
 
 
-def _check_budget(b: int, n: int, budget: int | None, force: bool) -> None:
+def check_enumeration(b: int, n: int, space: str, budget: int | None = None, force: bool = False) -> None:
+    """Reject a bad base, n < 1, an unknown space or b^n over the budget."""
+    check_base(b)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if space not in SPACES:
+        raise ValueError(f"unknown enumeration space {space!r}")
     limit = configured_budget() if budget is None else budget
     if not force and b**n > limit:
         raise BudgetExceeded(
@@ -189,11 +195,7 @@ def census(
     force: bool = False,
 ) -> CensusRecord:
     """Exhaustive classification counts for one (b, n, space)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if space not in SPACES:
-        raise ValueError(f"unknown enumeration space {space!r}")
-    _check_budget(b, n, budget, force)
+    check_enumeration(b, n, space, budget, force)
     return census_range(b, n, space, 0, space_size(b, n, space))
 
 
@@ -220,7 +222,7 @@ def census_with_checkpoint(
     Each write goes to a temporary file that then replaces the checkpoint,
     so a crash leaves the previous checkpoint intact.
     """
-    _check_budget(b, n, budget, force)
+    check_enumeration(b, n, space, budget, force)
     path = Path(path)
     size = space_size(b, n, space)
     header = {"b": b, "n": n, "space": space, "shard_size": shard_size, "version": __version__}
@@ -325,6 +327,9 @@ def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[
             t = index_to_vector(b, deg + 1, EXACT_DEGREE, idx)
             if sum(1 for c in t if c) >= 2:
                 by_deg[deg].append(t)
+    # every product has at most max_deg + 1 terms; pack each factor once
+    width = max_deg + 1
+    planes = [[_pack(b, t, width) for t in ts] for ts in by_deg]
     table: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
     for m in range(2, max_deg + 1):
         for dg in range(1, m // 2 + 1):
@@ -332,10 +337,10 @@ def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[
             for g in by_deg[dg]:
                 g_nnz = sum(1 for c in g if c)
                 g_a = _count_geq(g, a) if a >= 1 else 0
-                for f in by_deg[df]:
+                for f, packed in zip(by_deg[df], planes[df]):
                     if dg == df and f < g:
                         continue
-                    prod = mul_coeffs(f, g)
+                    prod = _unpack(_times(packed, g, width), width, m + 1)
                     f_nnz = sum(1 for c in f if c)
                     f_a = _count_geq(f, a) if a >= 1 else 0
                     table.setdefault(prod, []).append((dg, f_nnz + g_nnz, f_a, g_a))
@@ -366,8 +371,7 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
     remaining reducible vectors.  Reducible vectors are all covered by
     construction, which is asserted, not assumed.
     """
-    check_base(b)
-    _check_budget(b, n, budget, force)
+    check_enumeration(b, n, ALL_VECTORS, budget, force)
     d, v = params.d, params.v
     a = b // 2
     half_d = d / 2
@@ -432,11 +436,18 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
 # -- close-factor pair counting ------------------------------------------------
 
 
+def close_pair_bound(n: int, k: int, d: int) -> int:
+    """The n^(2d+2) * 2^k ceiling on the close-pair count."""
+    return n ** (2 * d + 2) * 2**k
+
+
 def close_pair_count(n: int, k: int, d: int, *, budget: int | None = None, force: bool = False) -> int:
     """Count boolean pairs (f, g) with f(0) != 0, deg f = k, deg g = n-k and
-    |f*g| <= |f| + |g| + d; asserts the n^(2d+2) * 2^k ceiling."""
+    |f*g| <= |f| + |g| + d; asserts the close_pair_bound ceiling."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    if d < 0:
+        raise ValueError("need d >= 0")
     limit = configured_budget() if budget is None else budget
     if not force and 2 ** (n - 1) > limit:
         raise BudgetExceeded(f"2^{n - 1} pairs exceed the budget of {limit}")
@@ -446,19 +457,13 @@ def close_pair_count(n: int, k: int, d: int, *, budget: int | None = None, force
     for f_mid in range(1 << max(k - 1, 0)):
         f = f_base | (f_mid << 1)
         fw = f.bit_count()
+        # a base-2 bitmask is its own one-plane packing
+        f_coeffs = tuple((f >> j) & 1 for j in range(k + 1))
         for g_low in range(1 << (n - k)):
             g = g_base | g_low
-            prod = 0
-            gg = g
-            j = 0
-            while gg:
-                if gg & 1:
-                    prod |= f << j
-                gg >>= 1
-                j += 1
-            if prod.bit_count() <= fw + g.bit_count() + d:
+            if _times(g, f_coeffs, n + 1).bit_count() <= fw + g.bit_count() + d:
                 count += 1
-    bound = n ** (2 * d + 2) * 2**k
+    bound = close_pair_bound(n, k, d)
     if count > bound:
         raise AssertionError(f"close-pair count {count} exceeds bound {bound}")
     return count

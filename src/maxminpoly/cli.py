@@ -115,9 +115,8 @@ def _cmd_census(args) -> None:
             args.b, args.n, args.space, args.resume, force=args.force
         )
     elif args.threads > 1:
+        census.check_enumeration(args.b, args.n, args.space, force=args.force)
         size = census.space_size(args.b, args.n, args.space)
-        if not args.force and args.b**args.n > census.configured_budget():
-            raise MaxMinError(f"{args.b}^{args.n} exceeds the enumeration budget (use --force)")
         shard = max(1, size // (4 * args.threads))
         jobs = [
             (args.b, args.n, args.space, s, min(s + shard, size))
@@ -156,7 +155,7 @@ def _cmd_partition(args) -> None:
 
 def _cmd_close_pairs(args) -> None:
     count = census.close_pair_count(args.n, args.k, args.d, force=args.force)
-    bound = args.n ** (2 * args.d + 2) * 2**args.k
+    bound = census.close_pair_bound(args.n, args.k, args.d)
     _emit(args, {"count": count, "bound": bound, "holds": count <= bound})
 
 

@@ -10,6 +10,11 @@ Polynomials are kept canonical: coefficients are stored little-endian
 polynomial is the empty sequence.  All values are immutable; every
 operation is a pure function of its inputs.
 
+This module owns the one max-min product kernel: tuples are packed into
+their nested level planes {k : f_k >= s} (_pack, _unpack) and multiplied
+plane by plane with shifts and ORs (_times).  mul_coeffs and the searches,
+stream products and census tables of the other modules all use it.
+
 Base-2 polynomials double as finite subsets of the naturals: union is max
 and the sumset A+B = {a+b} is the max-min product of indicators.  The
 bridge functions from_set/to_set/sumset expose that correspondence.
@@ -120,19 +125,57 @@ def add(f: MaxMinPoly, g: MaxMinPoly) -> MaxMinPoly:
     return MaxMinPoly(f.base, _trim(out))
 
 
+# -- level planes: the max-min product kernel ---------------------------------
+
+
+def _repeat(width: int, count: int) -> int:
+    """count copies of bit 0 at stride width: multiplying a plane by this
+    copies it into `count` consecutive planes."""
+    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
+
+
+def _pack(b: int, coeffs: Sequence[int], width: int) -> int:
+    """Planes {k : c_k >= s} of a coefficient tuple, s = 1..b-1, packed
+    into one int with plane s at bit offset (s-1)*width."""
+    columns = [0] * b
+    for s in range(1, b):
+        columns[s] = columns[s - 1] | 1 << ((s - 1) * width)
+    packed = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            packed |= columns[c] << k
+    return packed
+
+
+def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
+    """Coefficient tuple of `length` terms from nested packed planes."""
+    out = [0] * length
+    mask = (1 << length) - 1
+    while packed:
+        for k, bit in enumerate(bin(packed & mask)[:1:-1]):
+            if bit == "1":
+                out[k] += 1
+        packed >>= width
+    return tuple(out)
+
+
+def _times(q: int, g: Sequence[int], width: int) -> int:
+    """Packed planes of q*g: plane s is the OR of (plane s of q) << j over
+    the j with g_j >= s.  Needs len(q) + len(g) - 1 <= width."""
+    prod = 0
+    for j, v in enumerate(g):
+        if v:
+            prod |= (q & ((1 << (v * width)) - 1)) << j
+    return prod
+
+
 def mul_coeffs(fa: Sequence[int], ga: Sequence[int]) -> tuple[int, ...]:
-    """Max-min convolution of two raw coefficient sequences."""
+    """Max-min convolution of two raw coefficient sequences: untrimmed, of
+    length len(fa) + len(ga) - 1, and () when either is empty."""
     if not fa or not ga:
         return ()
-    out = [0] * (len(fa) + len(ga) - 1)
-    for i, ai in enumerate(fa):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(ga):
-            v = ai if ai < bj else bj
-            if v > out[i + j]:
-                out[i + j] = v
-    return tuple(out)
+    width = len(fa) + len(ga) - 1
+    return _unpack(_times(_pack(max(fa) + 1, fa, width), ga, width), width, width)
 
 
 def mul(f: MaxMinPoly, g: MaxMinPoly) -> MaxMinPoly:

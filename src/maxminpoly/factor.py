@@ -5,7 +5,7 @@ Everything runs on level planes.  The threshold maps f -> [f >= s] are
 semiring homomorphisms, so a base-b polynomial h is the b-1 nested boolean
 polynomials H_s = {k : h_k >= s}, and base 2 (sumsets) is the one-plane
 case.  The planes of h are packed into one int at stride W = len(h), plane
-s at bit offset (s-1)*W.
+s at bit offset (s-1)*W, by core's max-min product kernel (_pack, _times).
 
 Division uses residuation: for a fixed divisor g the set of f with
 f*g <= h (coefficientwise) has a maximum Q, whose planes are
@@ -23,7 +23,9 @@ lowest first, ANDing each choice into Q and cutting a subtree as soon as Q
 cannot carry the quotient's end terms.  Leaves come in (degree,
 lexicographic) order over the little-endian coefficient tuples, so the
 first exact leaf is the first witness in that order, which makes
-classification deterministic.
+classification deterministic.  all_factorizations lists the cofactors of
+each divisor with a second search below Q that cuts a subtree once its
+largest completion times g falls below h.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
-from .core import MaxMinPoly, mul_coeffs
+from .core import MaxMinPoly, _pack, _repeat, _times, _unpack
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -110,37 +112,6 @@ def is_prime_candidate(f: MaxMinPoly) -> bool:
 # -- level planes --------------------------------------------------------------
 
 
-def _repeat(width: int, count: int) -> int:
-    """count copies of bit 0 at stride width: multiplying a plane by this
-    copies it into `count` consecutive planes."""
-    return ((1 << (width * count)) - 1) // ((1 << width) - 1)
-
-
-def _pack(b: int, coeffs: Sequence[int], width: int) -> int:
-    """Planes {k : c_k >= s} of a coefficient tuple, s = 1..b-1, packed
-    into one int with plane s at bit offset (s-1)*width."""
-    columns = [0] * b
-    for s in range(1, b):
-        columns[s] = columns[s - 1] | 1 << ((s - 1) * width)
-    packed = 0
-    for k, c in enumerate(coeffs):
-        if c:
-            packed |= columns[c] << k
-    return packed
-
-
-def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
-    """Coefficient tuple of `length` terms from nested packed planes."""
-    out = [0] * length
-    mask = (1 << length) - 1
-    while packed:
-        for k, bit in enumerate(bin(packed & mask)[:1:-1]):
-            if bit == "1":
-                out[k] += 1
-        packed >>= width
-    return tuple(out)
-
-
 def _saturations(b: int, packed: int, width: int) -> list[int]:
     """sat[v] for v = 1..b-1: plane s of sat[v] is plane min(s, v) of
     `packed`, the planes of h that bound a quotient term against g_j = v."""
@@ -149,16 +120,6 @@ def _saturations(b: int, packed: int, width: int) -> list[int]:
         plane = (packed >> ((v - 1) * width)) & ((1 << width) - 1)
         sat[v] = packed & ((1 << (v * width)) - 1) | plane * _repeat(width, b - 1 - v) << (v * width)
     return sat
-
-
-def _times(q: int, g: Sequence[int], width: int) -> int:
-    """Packed planes of q*g: plane s is the OR of (plane s of q) << j over
-    the j with g_j >= s.  Needs len(q) + len(g) - 1 <= width."""
-    prod = 0
-    for j, v in enumerate(g):
-        if v:
-            prod |= (q & ((1 << (v * width)) - 1)) << j
-    return prod
 
 
 def _levels(b: int, h: Sequence[int]) -> tuple[int, list[int], int]:
@@ -347,24 +308,36 @@ def classify_prime(h: MaxMinPoly) -> PrimeStatus:
 # -- exhaustive factorization listings ---------------------------------------
 
 
-def _cofactors(h: Sequence[int], g: tuple[int, ...], qmax: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All non-monomial f <= qmax with f*g == h, in lex order."""
-    df = len(qmax) - 1
-    target = tuple(h)
+def _cofactors(b: int, h: Sequence[int], g: Sequence[int], q: int) -> Iterator[tuple[int, ...]]:
+    """All non-monomial f with f*g == h, in lex order; q is the exact
+    maximal quotient of h by g, packed at stride len(h).
 
-    def rec(idx: int, current: list[int]) -> Iterator[tuple[int, ...]]:
-        if idx == df + 1:
-            f = tuple(current)
-            if sum(1 for c in f if c) >= 2 and mul_coeffs(f, g) == target:
-                yield f
+    Every such f is <= q, and f*g <= h for every f <= q since the product
+    is monotone.  f is fixed one coefficient at a time, lowest first, in
+    increasing values, and a subtree is cut once its largest completion
+    (the later coefficients at q) times g is no longer h; a leaf is its
+    own completion, so every leaf is exact.
+    """
+    width = len(h)
+    target = _pack(b, h, width)
+    top = _unpack(q, width, width - len(g) + 1)
+    column = [_repeat(width, v) for v in range(b)]
+    f = [0] * len(top)
+
+    def rec(idx: int, packed: int) -> Iterator[tuple[int, ...]]:
+        # packed holds f below idx and top from idx up; its product is h
+        if idx == len(top):
+            if len(f) - f.count(0) >= 2:
+                yield tuple(f)
             return
-        low = 1 if idx == df else 0
-        for v in range(low, qmax[idx] + 1):
-            current[idx] = v
-            yield from rec(idx + 1, current)
-        current[idx] = 0
+        rest = packed & ~(column[b - 1] << idx)
+        for v in range(1 if idx == len(top) - 1 else 0, top[idx] + 1):
+            completion = rest | column[v] << idx
+            if v == top[idx] or _times(completion, g, width) == target:
+                f[idx] = v
+                yield from rec(idx + 1, completion)
 
-    yield from rec(0, [0] * (df + 1))
+    yield from rec(0, q)
 
 
 def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list[FactorWitness]:
@@ -374,6 +347,8 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
     A divisor x^o * g' of h = x^t * h' pairs a divisor g' of h' with
     o <= t; at one degree, a larger o sorts first.
     """
+    if max_results is not None and max_results < 1:
+        raise ValueError(f"max_results must be >= 1, got {max_results}")
     if h.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     out: list[FactorWitness] = []
@@ -389,12 +364,12 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
         for o in range(min(t, dg - 1), -1, -1):
 
             def collect(g: tuple[int, ...], q: int) -> bool:
-                g = (0,) * o + g
-                qmax = (0,) * (t - o) + _unpack(q, len(stripped), df + o - t + 1)
-                for f in _cofactors(hc, g, qmax):
-                    if dg == df and f < g:
+                shifted = (0,) * o + g
+                for f in _cofactors(b, stripped, g, q):
+                    f = (0,) * (t - o) + f
+                    if dg == df and f < shifted:
                         continue
-                    out.append(FactorWitness(MaxMinPoly(b, g), MaxMinPoly(b, f)))
+                    out.append(FactorWitness(MaxMinPoly(b, shifted), MaxMinPoly(b, f)))
                     if max_results is not None and len(out) >= max_results:
                         return True
                 return False

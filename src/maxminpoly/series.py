@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import MaxMinPoly, check_base
+from .core import MaxMinPoly, check_base, mul_coeffs
 from .errors import BaseMismatch, InsufficientSupport, WindowTooShort
 
 
@@ -58,38 +58,15 @@ def support_stream(stream: DigitStream) -> DigitStream:
 
 def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitStream:
     """Max-min product; output digits are exact up to the returned valid_to."""
-    if isinstance(g, MaxMinPoly):
-        if f.base != g.base:
-            raise BaseMismatch(f"bases differ: {f.base} vs {g.base}")
-        n_out = f.valid_to
-        gsup = [(j, c) for j, c in enumerate(g.coeffs) if c]
-        out = []
-        fd = f.digits
-        for n in range(n_out):
-            best = 0
-            for j, c in gsup:
-                if j > n:
-                    break
-                v = fd[n - j]
-                if c < v:
-                    v = c
-                if v > best:
-                    best = v
-            out.append(best)
-        return DigitStream(f.base, tuple(out), n_out)
     if f.base != g.base:
         raise BaseMismatch(f"bases differ: {f.base} vs {g.base}")
-    n_out = min(f.valid_to, g.valid_to)
-    fd, gd = f.digits, g.digits
-    out = []
-    for n in range(n_out):
-        best = 0
-        for k in range(n + 1):
-            v = min(fd[k], gd[n - k])
-            if v > best:
-                best = v
-        out.append(best)
-    return DigitStream(f.base, tuple(out), n_out)
+    if isinstance(g, MaxMinPoly):
+        n_out, gd = f.valid_to, g.coeffs
+    else:
+        n_out, gd = min(f.valid_to, g.valid_to), g.digits
+    prod = mul_coeffs(f.digits[:n_out], gd[:n_out])
+    # prod is () for a zero factor and has at least n_out digits otherwise
+    return DigitStream(f.base, prod[:n_out] or (0,) * n_out, n_out)
 
 
 # -- occurrence counting -------------------------------------------------------

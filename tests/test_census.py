@@ -200,6 +200,8 @@ def test_close_pair_examples():
 def test_close_pair_validation():
     with pytest.raises(ValueError):
         census.close_pair_count(4, 0, 1)
+    with pytest.raises(ValueError):
+        census.close_pair_count(3, 1, -1)
     with pytest.raises(BudgetExceeded):
         census.close_pair_count(30, 3, 1, budget=100)
 

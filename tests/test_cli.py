@@ -79,6 +79,27 @@ def test_census_resume(tmp_path, capsys):
     assert first["record"] == second["record"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["census", "--b", "2", "--n", "0"],
+        ["census", "--b", "2", "--n", "0", "--threads", "2"],
+        ["census", "--b", "2", "--n", "0", "--resume", "ck.json"],
+        ["partition", "--b", "2", "--n", "0", "--d", "2", "--v", "2"],
+        ["close-pairs", "--n", "3", "--k", "1", "--d", "-1"],
+        ["factor", "2:1,1,1,1", "--all", "--max-results", "0"],
+        ["factor", "2:1,1,1,1", "--all", "--max-results", "-2"],
+    ),
+)
+def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("ValueError: ") and len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "ck.json").exists()
+
+
 def test_census_resume_rejects_threads(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["census", "--b", "2", "--n", "9", "--resume", str(tmp_path / "ck.json"), "--threads", "2"])

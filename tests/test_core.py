@@ -1,6 +1,7 @@
 """Semiring arithmetic, digit maps, the real embedding and the set bridge."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ def test_mul_derived_base3_example():
 
 def test_mul_zero_annihilates():
     assert core.mul(P("2:1,1"), core.zero(2)).is_zero()
+
+
+def test_mul_coeffs_is_untrimmed():
+    assert core.mul_coeffs((1, 0), (1, 0, 0)) == (1, 0, 0, 0)
+    assert core.mul_coeffs((0, 0), (2,)) == (0, 0)
+    assert core.mul_coeffs((), (1, 2)) == ()
+    assert core.mul_coeffs((1, 2), ()) == ()
+
+
+@pytest.mark.parametrize("b", (2, 3, 10))
+def test_mul_long(b):
+    rng = random.Random(b)
+    f = core.poly_new(b, [rng.randrange(b) for _ in range(599)] + [rng.randrange(1, b)])
+    g = core.poly_new(b, [rng.randrange(b) for _ in range(511)] + [rng.randrange(1, b)])
+    assert core.mul(f, g).coeffs == oracle_mul(b, f.coeffs, g.coeffs)
 
 
 @given(poly_pairs())

@@ -260,26 +260,66 @@ def test_all_factorizations_truncates():
     assert factor.all_factorizations(h, max_results=1) == full[:1]
 
 
+@pytest.mark.parametrize("max_results", (0, -1))
+def test_all_factorizations_rejects_empty_cap(max_results):
+    with pytest.raises(ValueError):
+        factor.all_factorizations(P("2:1,1,1,1"), max_results=max_results)
+
+
 def test_all_factorizations_matches_oracle_table():
-    for b, max_deg in ((2, 7), (3, 5)):
+    # the oracle lists each product's pairs in (deg g, g, f) order
+    for b, max_deg in ((2, 7), (3, 5), (4, 4)):
         table = product_table(b, max_deg)
         for coeffs in all_nonzero_tuples(b, max_deg):
             h = core.MaxMinPoly(b, coeffs)
-            got = {
-                (w.g.coeffs, w.h.coeffs) for w in factor.all_factorizations(h)
-            }
-            expected = set(table.get(coeffs, ()))
-            assert got == expected, coeffs
+            got = [(w.g.coeffs, w.h.coeffs) for w in factor.all_factorizations(h)]
+            assert got == table.get(coeffs, []), coeffs
+
+
+# The first 64 factorizations of 10:9,8,9,9,8,9,9 as g*f digit strings, as
+# listed by the brute-force cofactor enumeration that the pruned search
+# replaced.
+FIRST_64 = """
+9009*9899 9019*9899 9029*9899 9039*9899 9049*9899 9059*9899 9069*9899 9079*9899
+9089*9899 9099*9809 9099*9819 9099*9829 9099*9839 9099*9849 9099*9859 9099*9869
+9099*9879 9099*9889 9109*9899 9119*9899 9129*9899 9139*9899 9149*9899 9159*9899
+9169*9899 9179*9899 9189*9899 9199*9809 9199*9819 9199*9829 9199*9839 9199*9849
+9199*9859 9199*9869 9199*9879 9199*9889 9209*9899 9219*9899 9229*9899 9239*9899
+9249*9899 9259*9899 9269*9899 9279*9899 9289*9899 9299*9809 9299*9819 9299*9829
+9299*9839 9299*9849 9299*9859 9299*9869 9299*9879 9299*9889 9309*9899 9319*9899
+9329*9899 9339*9899 9349*9899 9359*9899 9369*9899 9379*9899 9389*9899 9399*9809
+""".split()
+
+
+@pytest.mark.parametrize(
+    "h, first",
+    (
+        (P("10:9,8,9,9,8,9,9"), FIRST_64),
+        (core.mul(P("10:9,5,9,7,9"), P("10:9,8,9,6,9")), None),
+    ),
+)
+def test_all_factorizations_of_many_cofactor_inputs(h, first):
+    # inputs whose divisors have thousands of candidate cofactors below
+    # the maximal quotient
+    wits = factor.all_factorizations(h, max_results=64)
+    assert len(wits) == 64
+    keys = [(len(w.g.coeffs), w.g.coeffs, w.h.coeffs) for w in wits]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for w in wits:
+        assert core.mul(w.g, w.h) == h
+        assert not core.is_monomial(w.g) and not core.is_monomial(w.h)
+    assert wits == factor.all_factorizations(h)[:64]
+    if first is not None:
+        assert ["".join(map(str, w.g.coeffs)) + "*" + "".join(map(str, w.h.coeffs)) for w in wits] == first
 
 
 @given(nonzero_polys(max_len=6))
 @settings(max_examples=150, deadline=None)
 def test_all_factorizations_are_valid_and_ordered(h):
     wits = factor.all_factorizations(h)
-    seen = set()
     for w in wits:
         assert core.mul(w.g, w.h) == h
         assert not core.is_monomial(w.g) and not core.is_monomial(w.h)
-        key = (w.g.coeffs, w.h.coeffs)
-        assert key not in seen
-        seen.add(key)
+    # strictly increasing (deg g, g, f) keys: ordered and deduplicated
+    keys = [(len(w.g.coeffs), w.g.coeffs, w.h.coeffs) for w in wits]
+    assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -64,6 +64,20 @@ def test_stream_times_stream():
     assert h.digits == tuple(full[:3])
 
 
+def test_stream_times_stream_truncated_on_both_sides():
+    rng = random.Random(8)
+    for _ in range(40):
+        b = rng.choice([2, 3, 10])
+        fd, gd = ([rng.randrange(b) for _ in range(rng.randint(2, 60))] for _ in range(2))
+        f = series.make_stream(b, fd, rng.randrange(1, len(fd)))
+        g = series.make_stream(b, gd, rng.randrange(1, len(gd)))
+        h = series.product_stream(f, g)
+        n = min(f.valid_to, g.valid_to)
+        full = oracle_mul(b, f.digits, g.digits)
+        assert h.valid_to == n
+        assert h.digits == (full + (0,) * n)[:n]
+
+
 def test_product_base_mismatch():
     with pytest.raises(BaseMismatch):
         series.product_stream(series.make_stream(2, [1]), P("3:1"))
