@@ -10,6 +10,7 @@ require an explicit --seed.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -263,7 +264,9 @@ def _cmd_decompose_set(args) -> None:
     _emit(args, payload, text_lines=[text])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="maxminpoly",
         description="Exact arithmetic, factorization and experiments over max-min digit semirings.",

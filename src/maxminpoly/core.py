@@ -14,6 +14,10 @@ This module owns the one max-min product kernel: tuples are packed into
 their nested level planes {k : f_k >= s} (_pack, _unpack) and multiplied
 plane by plane with shifts and ORs (_times).  mul_coeffs and the searches,
 stream products and census tables of the other modules all use it.
+Packing and unpacking are linear in the packed size: every digit fits one
+octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
+string and one int() parse, and unpacking sums the planes as base-256
+numbers instead of walking their bits.
 
 Base-2 polynomials double as finite subsets of the naturals: union is max
 and the sumset A+B = {a+b} is the max-min product of indicators.  The
@@ -134,29 +138,40 @@ def _repeat(width: int, count: int) -> int:
     return ((1 << (width * count)) - 1) // ((1 << width) - 1)
 
 
+# _LEVEL[s] translates a digit byte to b"1" when it is >= s and to b"0"
+# otherwise; _PLANES[b] lists the tables of levels b-1 down to 1, the order
+# in which the planes of a base-b polynomial appear in its binary string.
+_LEVEL = [b"0" * s + b"1" * (MAX_BASE - s) for s in range(MAX_BASE)]
+_PLANES = [tuple(_LEVEL[b - 1 : 0 : -1]) for b in range(MAX_BASE + 1)]
+_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 def _pack(b: int, coeffs: Sequence[int], width: int) -> int:
     """Planes {k : c_k >= s} of a coefficient tuple, s = 1..b-1, packed
-    into one int with plane s at bit offset (s-1)*width."""
-    columns = [0] * b
-    for s in range(1, b):
-        columns[s] = columns[s - 1] | 1 << ((s - 1) * width)
-    packed = 0
-    for k, c in enumerate(coeffs):
-        if c:
-            packed |= columns[c] << k
-    return packed
+    into one int with plane s at bit offset (s-1)*width.
+
+    Linear in the output size: the reversed digits are translated once per
+    plane into a binary string, the planes are joined with the zero padding
+    up to `width` between them, and the whole string is parsed by int().
+    """
+    digits = bytes(coeffs)[::-1]
+    padding = b"0" * (width - len(digits))
+    return int(padding.join(map(digits.translate, _PLANES[b])) or b"0", 2)
 
 
 def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
-    """Coefficient tuple of `length` terms from nested packed planes."""
-    out = [0] * length
-    mask = (1 << length) - 1
-    while packed:
-        for k, bit in enumerate(bin(packed & mask)[:1:-1]):
-            if bit == "1":
-                out[k] += 1
-        packed >>= width
-    return tuple(out)
+    """Coefficient tuple of `length` terms from nested packed planes.
+
+    Each plane's low `length` bits become one 0/1 byte per term; read as
+    base-256 numbers the planes add without carries (at most 255 planes), so
+    byte k of the sum is coefficient k.
+    """
+    end = -(-packed.bit_length() // width) * width
+    bits = format(packed, f"0{end}b").encode().translate(_BIT)
+    total = 0
+    for stop in range(width, end + 1, width):
+        total += int.from_bytes(bits[stop - length : stop], "big")
+    return tuple(total.to_bytes(length, "little"))
 
 
 def _times(q: int, g: Sequence[int], width: int) -> int:

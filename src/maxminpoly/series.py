@@ -10,6 +10,12 @@ boundaries from producing false matches.
 Occurrence counting is overlapping sliding-window counting throughout,
 and window frequencies are reported against the window count, so a set
 containing every length-r window has empirical frequency exactly 1.
+
+DigitStream.digits stays a tuple of ints; the scans (pattern counts, the
+forbidden-string and isolation checks, window-family counts) read a numpy
+uint8 view of the valid prefix instead, and streams are validated and
+converted in one vectorized step (make_stream, random_stream, and
+read_stream, which parses a line of single-digit tokens as bytes).
 """
 
 from __future__ import annotations
@@ -37,23 +43,44 @@ class DigitStream:
             raise ValueError("valid_to must lie within the digit buffer")
 
 
+def _digit_array(b: int, digits: Iterable[int]) -> np.ndarray:
+    """The digits as a uint8 array; ValueError names the first digit
+    outside 0..b-1."""
+    check_base(b)
+    if not isinstance(digits, np.ndarray):
+        seq = digits if isinstance(digits, (list, tuple)) else list(digits)
+        try:
+            digits = np.frombuffer(bytes(seq), np.uint8)
+        except (TypeError, ValueError):  # a non-integer, or outside one octet
+            digits = np.array(seq, dtype=object)
+    bad = (digits < 0) | (digits >= b)
+    if bad.any():
+        raise ValueError(f"digit {digits[bad.argmax()]} out of range for base {b}")
+    return digits.astype(np.uint8, copy=False)
+
+
+def _prefix(stream: DigitStream) -> np.ndarray:
+    """uint8 view of the valid prefix, the only digits a scan reads."""
+    return np.frombuffer(bytes(stream.digits[: stream.valid_to]), np.uint8)
+
+
 def make_stream(b: int, digits: Iterable[int], valid_to: int | None = None) -> DigitStream:
-    seq = tuple(int(d) for d in digits)
-    for d in seq:
-        if not 0 <= d < b:
-            raise ValueError(f"digit {d} out of range for base {b}")
-    return DigitStream(b, seq, len(seq) if valid_to is None else valid_to)
+    arr = _digit_array(b, digits)
+    return DigitStream(b, tuple(arr.tolist()), len(arr) if valid_to is None else valid_to)
 
 
 def random_stream(b: int, length: int, seed: int) -> DigitStream:
     """iid uniform digits from the seeded PCG64 generator."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return DigitStream(b, tuple(int(d) for d in rng.integers(0, b, size=length)), length)
+    return DigitStream(b, tuple(rng.integers(0, b, size=length).tolist()), length)
+
+
+_SUPPORT = bytes([0] + [1] * 255)
 
 
 def support_stream(stream: DigitStream) -> DigitStream:
     """Base-2 indicator stream of the nonzero digits."""
-    return DigitStream(2, tuple(1 if d else 0 for d in stream.digits), stream.valid_to)
+    return DigitStream(2, tuple(bytes(stream.digits).translate(_SUPPORT)), stream.valid_to)
 
 
 def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitStream:
@@ -79,16 +106,15 @@ def count_occurrences(stream: DigitStream, s: Sequence[int]) -> int:
         raise WindowTooShort("pattern must be nonempty")
     if k > stream.valid_to:
         raise WindowTooShort(f"pattern of length {k} exceeds valid prefix {stream.valid_to}")
-    pat = tuple(s)
-    d = stream.digits
-    first = pat[0]
-    count = 0
-    for start in range(stream.valid_to - k + 1):
-        if d[start] != first:
-            continue
-        if d[start : start + k] == pat:
-            count += 1
-    return count
+    d = _prefix(stream)
+    windows = len(d) - k + 1
+    # windows that still match, narrowed one pattern digit at a time
+    match = d[:windows] == s[0]
+    for j in range(1, k):
+        if not match.any():
+            break
+        match &= d[j : j + windows] == s[j]
+    return int(np.count_nonzero(match))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,18 +156,13 @@ def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Seq
         r = z.r
         if r > stream.valid_to:
             raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
-        d = stream.digits
-        prefix_ones = [j for j, flag in enumerate(z.g1_prefix) if flag]
-        count = 0
-        for start in range(stream.valid_to - r + 1):
-            ok = True
-            for j in prefix_ones:
-                if d[start + j] == 0:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        return count
+        nonzero = _prefix(stream) != 0
+        windows = len(nonzero) - r + 1
+        ok = np.ones(windows, dtype=bool)
+        for j, flag in enumerate(z.g1_prefix):
+            if flag:
+                ok &= nonzero[j : j + windows]
+        return int(np.count_nonzero(ok))
     patterns = [tuple(p) for p in z]
     if not patterns:
         return 0
@@ -169,19 +190,31 @@ def t1_forbidden_scan(h1: DigitStream, m: int) -> int:
     return count_occurrences(h1, pattern)
 
 
+def _has_isolated_one(nonzero: np.ndarray, m: int, checked: int) -> bool:
+    """Whether some nonzero[p], p < checked, has no other nonzero entry
+    within distance m.  Needs len(nonzero) >= checked + m when checked > 0."""
+    # ones[i]: nonzero entries before i, modulo the dtype's range; a window
+    # holds at most 2m + 1 of them (and fewer than 2^32 digits fit in memory),
+    # so window differences stay exact
+    dtype = np.uint16 if 2 * m + 1 < 1 << 16 else np.uint32
+    ones = np.zeros(len(nonzero) + 1, dtype=dtype)
+    np.cumsum(nonzero, dtype=dtype, out=ones[1:])
+    # nonzero entries in [max(p - m, 0), p + m], p itself included
+    window = ones[m + 1 : m + 1 + checked].copy()
+    window[m:] -= ones[: max(0, checked - m)]
+    return bool(np.any(nonzero[:checked] & (window == 1)))
+
+
 def t1_isolation_check(h1: DigitStream, m: int) -> bool:
     """True iff every 1 early enough to see m digits ahead has another 1
     within distance m (on either side)."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    d = h1.digits
-    limit = h1.valid_to - m - 1
-    for p in range(limit + 1):
-        if not d[p]:
-            continue
-        lo = max(0, p - m)
-        hi = min(h1.valid_to - 1, p + m)
-        if not any(d[q] for q in range(lo, hi + 1) if q != p):
+    checked = max(0, h1.valid_to - m)  # the positions that see m digits ahead
+    # an isolated 1 usually shows up early, so a short head is probed first
+    for head in (min(checked, 1 << 12), checked):
+        seen = h1.digits[: min(head + m, h1.valid_to)]
+        if _has_isolated_one(np.frombuffer(bytes(seen), np.uint8) != 0, m, head):
             return False
     return True
 
@@ -325,13 +358,23 @@ def write_stream(path, stream: DigitStream) -> None:
         fh.write(" ".join(str(d) for d in stream.digits) + "\n")
 
 
+def _parse_digits(line: str) -> Union[np.ndarray, list[int]]:
+    """The digits of a stream line: one byte each when every token is a
+    single ASCII digit separated by single spaces, else int() per token."""
+    raw = np.frombuffer(line.rstrip("\n").encode("ascii"), np.uint8)
+    digits = raw[0::2] - ord("0")
+    if len(raw) % 2 and (raw[1::2] == ord(" ")).all() and (digits < 10).all():
+        return digits
+    return [int(tok) for tok in line.split()]
+
+
 def read_stream(path) -> DigitStream:
     with open(path, encoding="ascii") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("stream file must start with 'b N'")
         b, n = int(header[0]), int(header[1])
-        digits = [int(tok) for tok in fh.readline().split()]
+        digits = _parse_digits(fh.readline())
     if len(digits) != n:
         raise ValueError(f"stream file declares {n} digits but carries {len(digits)}")
     return make_stream(b, digits)

@@ -18,8 +18,8 @@ import numpy as np
 from . import census as census_mod
 from . import factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
-from .core import MaxMinPoly
-from .errors import BudgetExceeded, LevelOutOfRange
+from .core import MaxMinPoly, check_base
+from .errors import LevelOutOfRange
 
 GENERATOR_ID = "numpy.PCG64"
 CHUNK = 2048
@@ -34,6 +34,9 @@ class ExperimentConfig:
     space: str = ALL_VECTORS
 
     def __post_init__(self) -> None:
+        check_base(self.b)
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.space not in SPACES:
@@ -190,8 +193,6 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, th
         frac = rec.irreducible_fraction()
         lo, hi = wilson_interval(rec.irreducible, rec.total)
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
-    if b**n <= 1:
-        raise BudgetExceeded("space too small to sample")
     jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -215,6 +216,9 @@ def default_params(n: int) -> BoundParams:
 
 def bound_terms(b: int, n: int, params: BoundParams) -> BoundReport:
     """Evaluate the four normalized bound terms in log space."""
+    check_base(b)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     d = float(params.d)
     v = float(params.v)
     ln_n = math.log(n)

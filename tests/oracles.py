@@ -117,3 +117,49 @@ def naive_count_occurrences(digits: Sequence[int], pattern: Sequence[int], valid
 
 def naive_count_set(digits: Sequence[int], patterns: Iterable[Sequence[int]], valid_to: int) -> int:
     return sum(naive_count_occurrences(digits, p, valid_to) for p in patterns)
+
+
+def naive_isolation(digits: Sequence[int], m: int, valid_to: int) -> bool:
+    """Every nonzero digit at p <= valid_to-m-1 has another nonzero digit
+    within distance m inside the valid prefix, checked window by window."""
+    for p in range(valid_to - m):
+        if digits[p]:
+            lo, hi = max(0, p - m), min(valid_to - 1, p + m)
+            if not any(digits[q] for q in range(lo, hi + 1) if q != p):
+                return False
+    return True
+
+
+def naive_count_window_set(digits: Sequence[int], g1_prefix: Sequence[int], valid_to: int) -> int:
+    """Windows of the valid prefix that are nonzero wherever g1_prefix is 1."""
+    r = len(g1_prefix)
+    return sum(
+        1
+        for start in range(valid_to - r + 1)
+        if all(digits[start + j] for j, flag in enumerate(g1_prefix) if flag)
+    )
+
+
+def oracle_pack(b: int, coeffs: Sequence[int], width: int) -> int:
+    """Level planes {k : c_k >= s}, s = 1..b-1, at bit offset (s-1)*width,
+    shifted in one coefficient at a time (quadratic in length)."""
+    columns = [0] * b
+    for s in range(1, b):
+        columns[s] = columns[s - 1] | 1 << ((s - 1) * width)
+    packed = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            packed |= columns[c] << k
+    return packed
+
+
+def oracle_unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
+    """Coefficients of `length` terms, counting set bits plane by plane."""
+    out = [0] * length
+    mask = (1 << length) - 1
+    while packed:
+        for k, bit in enumerate(bin(packed & mask)[:1:-1]):
+            if bit == "1":
+                out[k] += 1
+        packed >>= width
+    return tuple(out)

@@ -89,6 +89,9 @@ def test_census_resume(tmp_path, capsys):
         ["close-pairs", "--n", "3", "--k", "1", "--d", "-1"],
         ["factor", "2:1,1,1,1", "--all", "--max-results", "0"],
         ["factor", "2:1,1,1,1", "--all", "--max-results", "-2"],
+        ["hoeffding", "--b", "2", "--n", "0", "--i", "1", "--eps", "0.1", "--trials", "5", "--seed", "1"],
+        ["bounds", "--b", "2", "--n", "0", "--d", "1", "--v", "1"],
+        ["density", "--b", "2", "--n", "0", "--trials", "5", "--seed", "1"],
     ),
 )
 def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, capsys):
@@ -176,6 +179,16 @@ def test_missing_file_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("FileNotFoundError: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("body", ("3 3\n0 3 1\n", "3 3\n0 x 1\n", "3 4\n0 1 2\n"))
+def test_series_scan_malformed_file_is_one_line_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    code = cli.main(["series-scan", "--file", str(path), "--pattern", "0,1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("ValueError: ") and len(captured.err.strip().splitlines()) == 1
 
 
 def test_domain_error_exit_code(capsys):

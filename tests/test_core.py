@@ -16,7 +16,7 @@ from maxminpoly.errors import (
     NonCanonical,
     ZeroPolynomial,
 )
-from oracles import oracle_mul
+from oracles import oracle_mul, oracle_pack, oracle_unpack
 
 P = core.parse_poly
 
@@ -133,6 +133,29 @@ def test_mul_long(b):
     f = core.poly_new(b, [rng.randrange(b) for _ in range(599)] + [rng.randrange(1, b)])
     g = core.poly_new(b, [rng.randrange(b) for _ in range(511)] + [rng.randrange(1, b)])
     assert core.mul(f, g).coeffs == oracle_mul(b, f.coeffs, g.coeffs)
+
+
+@pytest.mark.parametrize("b", (2, 3, 10, 256))
+def test_pack_matches_per_coefficient_reference(b):
+    rng = random.Random(b)
+    # the reference is quadratic in length times planes: 20k terms only at b = 2, 3
+    longest = 20_000 if b <= 3 else 600
+    for length in (1, 2, 3, 7, 64, 600, 4096, 20_000):
+        coeffs = [rng.randrange(b) for _ in range(length)]
+        for digits in (coeffs, [0] * length, [b - 1] * length):
+            for width in (length, length + 1, 2 * length + 5):
+                packed = core._pack(b, digits, width)
+                assert core._unpack(packed, width, length) == tuple(digits)
+                if length <= longest:
+                    assert packed == oracle_pack(b, digits, width)
+                    for terms in (length // 2, width):
+                        assert core._unpack(packed, width, terms) == oracle_unpack(packed, width, terms)
+
+
+def test_pack_of_no_planes_is_zero():
+    assert core._pack(1, (0, 0), 2) == 0
+    assert core._pack(2, (), 0) == 0
+    assert core._unpack(0, 3, 3) == (0, 0, 0)
 
 
 @given(poly_pairs())

@@ -7,7 +7,12 @@ import pytest
 
 from maxminpoly import core, series
 from maxminpoly.errors import BaseMismatch, InsufficientSupport, WindowTooShort
-from oracles import naive_count_occurrences, oracle_mul
+from oracles import (
+    naive_count_occurrences,
+    naive_count_window_set,
+    naive_isolation,
+    oracle_mul,
+)
 
 P = core.parse_poly
 
@@ -107,6 +112,59 @@ def test_counters_match_naive_rescan():
         assert series.count_occurrences(s, pattern) == naive_count_occurrences(
             digits, pattern, s.valid_to
         )
+
+
+def _truncated_streams(rng, count):
+    """Random streams whose digits run past valid_to; a copy of the valid
+    prefix follows it, so a scan that reads past valid_to sees more matches."""
+    for _ in range(count):
+        b = rng.choice([2, 3, 10, 16])
+        head = [rng.randrange(b) for _ in range(rng.randint(1, 150))]
+        yield series.make_stream(b, head + head[: rng.randint(1, len(head))], len(head))
+
+
+def test_scans_match_naive_rescans():
+    rng = random.Random(17)
+    for s in _truncated_streams(rng, 120):
+        d, n = s.digits, s.valid_to
+        for k in {1, min(n, 3), max(1, n // 2), n}:
+            start = rng.randrange(n - k + 1)
+            for pattern in (d[start : start + k], [rng.randrange(s.base) for _ in range(k)], [0] * k):
+                assert series.count_occurrences(s, pattern) == naive_count_occurrences(d, pattern, n)
+        h1 = series.support_stream(s)
+        assert h1.digits == tuple(1 if x else 0 for x in d) and h1.valid_to == n
+        for m in range(5):
+            if 2 * m + 3 <= n:
+                forbidden = (0,) * (m + 1) + (1,) + (0,) * (m + 1)
+                assert series.t1_forbidden_scan(h1, m) == naive_count_occurrences(h1.digits, forbidden, n)
+            assert series.t1_isolation_check(h1, m) == naive_isolation(h1.digits, m, n)
+        for r in {1, min(n, 4), n}:
+            prefix = tuple(rng.randrange(2) for _ in range(r))
+            z = series.ZWindowSet(prefix, r, sum(prefix))
+            assert series.count_set_occurrences(s, z) == naive_count_window_set(d, prefix, n)
+
+
+def test_isolation_holds_and_fails_on_nonzero_runs():
+    # pairs of nonzero digits three apart, the last pair cut by valid_to
+    digits = [1, 0, 0, 2, 0, 0, 0, 0, 0, 3, 0, 0, 1, 0, 0, 0, 0, 0, 4]
+    s = series.make_stream(5, digits, 13)
+    assert series.t1_isolation_check(s, 3) and naive_isolation(digits, 3, 13)
+    assert not series.t1_isolation_check(s, 2) and not naive_isolation(digits, 2, 13)
+    # a lone 1 is checked at the last position that sees m digits ahead, not after it
+    assert not series.t1_isolation_check(series.make_stream(2, [0] * 7 + [1, 0, 0]), 2)
+    assert series.t1_isolation_check(series.make_stream(2, [0] * 8 + [1, 0]), 2)
+    # the first lone 1 sits past the first few thousand positions
+    late = series.make_stream(2, [1] * 5000 + [0, 0, 0, 1, 0, 0, 0] + [1] * 10)
+    assert not series.t1_isolation_check(late, 2) and series.t1_isolation_check(late, 4)
+    dense = series.make_stream(7, [random.Random(3).randrange(1, 7) for _ in range(500)], 480)
+    assert all(series.t1_isolation_check(dense, m) for m in range(1, 6))
+    assert not series.t1_isolation_check(dense, 0)
+
+
+def test_isolation_window_counts_do_not_wrap():
+    # full windows of 2m + 1 ones: 257 and 65537 are 1 modulo 2^8 and 2^16
+    assert series.t1_isolation_check(series.make_stream(2, [1] * 1000), 128)
+    assert series.t1_isolation_check(series.make_stream(2, [1] * 70_000), 32_768)
 
 
 def test_count_set_all_strings_covers_every_window():
@@ -297,5 +355,48 @@ def test_stream_file_round_trip(tmp_path):
 def test_stream_file_length_mismatch(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 5\n0 1 0\n")
+    with pytest.raises(ValueError):
+        series.read_stream(path)
+
+
+@pytest.mark.parametrize("b", (16, 256))
+def test_stream_file_round_trip_multi_character_digits(tmp_path, b):
+    s = series.random_stream(b, 300, seed=b)
+    path = tmp_path / "stream.txt"
+    series.write_stream(path, s)
+    assert series.read_stream(path) == s
+
+
+def test_stream_file_round_trip_empty(tmp_path):
+    s = series.make_stream(3, [])
+    path = tmp_path / "empty.txt"
+    series.write_stream(path, s)
+    assert series.read_stream(path) == s
+
+
+def test_stream_file_spacing_is_free(tmp_path):
+    path = tmp_path / "spaced.txt"
+    path.write_text("3 4\n 0  1\t2 0 \n")
+    assert series.read_stream(path).digits == (0, 1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "body",
+    (
+        "3 4\n0 1 0\n",
+        "3 2\n0 1 0\n",
+        "3 3\n0 3 1\n",
+        "10 3\n0 12 1\n",
+        "3 3\n0 -1 1\n",
+        "3 3\n0 x 1\n",
+        "3 3\n0 1.0 1\n",
+        "16 3\n0 : 1\n",
+        "3 2\n1,2\n",
+        "3\n0 1 1\n",
+    ),
+)
+def test_stream_file_rejects_malformed(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
     with pytest.raises(ValueError):
         series.read_stream(path)

@@ -5,13 +5,24 @@ import math
 import pytest
 
 from maxminpoly import census, stochastic
-from maxminpoly.errors import LevelOutOfRange
+from maxminpoly.errors import DigitOutOfRange, LevelOutOfRange
 
 
 def cfg(**kw):
     base = dict(seed=1234, trials=1000, b=2, n=16, space=census.ALL_VECTORS)
     base.update(kw)
     return stochastic.ExperimentConfig(**base)
+
+
+def test_empty_vectors_and_bad_bases_are_rejected():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cfg(n=0)
+    with pytest.raises(DigitOutOfRange):
+        cfg(b=1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        stochastic.bound_terms(2, 0, census.BoundParams.make(1, 1))
+    with pytest.raises(DigitOutOfRange):
+        stochastic.bound_terms(1, 5, census.BoundParams.make(1, 1))
 
 
 # -- sampling ------------------------------------------------------------------
