@@ -387,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if getattr(args, "resume", None) and args.threads > 1:
         parser.error("--resume runs one thread; drop --threads")
     try:

@@ -23,9 +23,27 @@ lowest first, ANDing each choice into Q and cutting a subtree as soon as Q
 cannot carry the quotient's end terms.  Leaves come in (degree,
 lexicographic) order over the little-endian coefficient tuples, so the
 first exact leaf is the first witness in that order, which makes
-classification deterministic.  all_factorizations lists the cofactors of
-each divisor with a second search below Q that cuts a subtree once its
-largest completion times g falls below h.
+classification deterministic.
+
+Before it descends below a node that fixes g[:k+1] with quotient q, the
+search checks a cover bound.  Every leaf below keeps g[:k+1], has some
+digit at each of the positions k+1..deg g, and has a quotient <= q, since
+each choice only ANDs into q.  The product is monotone in both factors, so
+every leaf's product is at most
+
+    q*g[:k+1]  OR  (OR over i = k+1..deg g of q << i),
+
+the second term being q times b-1 on every free position (all planes of q
+shifted by i).  If that bound does not cover h, no leaf below is exact and
+the subtree is skipped.  Only subtrees without an exact leaf are cut, so
+the first witness, the factorization listings and every count stay the
+same; q has deg h - deg g + 1 terms per plane, so no shift leaves its
+plane.  On irreducible inputs, almost all of them at large degree, the
+bound removes most of the search.
+
+all_factorizations lists the cofactors of each divisor with a second
+search below Q that cuts a subtree once its largest completion times g
+falls below h.
 """
 
 from __future__ import annotations
@@ -175,6 +193,15 @@ def divides(g: MaxMinPoly, h: MaxMinPoly) -> bool:
 # -- the divisor search ----------------------------------------------------------
 
 
+def _spread(q: int, n: int) -> int:
+    """OR of q << i over i = 0..n-1 (n >= 1), by shift-doubling."""
+    span = 1
+    while 2 * span <= n:
+        q |= q << span
+        span *= 2
+    return q | q << (n - span) if span < n else q
+
+
 def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[[tuple[int, ...], int], bool]) -> bool:
     """Call visit(g, q) for every g with g[0] != 0 and degree in `degrees`
     whose maximal quotient q (packed at stride len(h)) is exact and
@@ -189,7 +216,9 @@ def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[
     term (>= h[0]) and leading term (>= the lead of h), which also keeps q
     from dropping to one term.  A larger value at a position leaves a
     smaller q, so the first value that cuts ends the loop over that
-    position.
+    position.  The cover bound (see the module docstring) is checked before
+    each descent; a larger value also raises g[k], so a value that fails
+    it skips only its own subtree.
     """
     width = len(h)
     target, sat, every_plane = _levels(b, h)
@@ -212,6 +241,10 @@ def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[
                 if qv & need != need:
                     break
                 g[k] = v
+                # cover bound: the leaves below keep g[:k+1], have a quotient
+                # <= qv and at most b-1 on positions k+1..dg
+                if (_times(qv, g[: k + 1], width) | _spread(qv, dg - k) << (k + 1)) & target != target:
+                    continue
                 if extend(k + 1, qv):
                     return True
             g[k] = 0

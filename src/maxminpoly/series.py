@@ -13,22 +13,25 @@ containing every length-r window has empirical frequency exactly 1.
 
 DigitStream.digits stays a tuple of ints; the scans (pattern counts, the
 forbidden-string and isolation checks, window-family counts) read a numpy
-uint8 view of the valid prefix instead, and streams are validated and
-converted in one vectorized step (make_stream, random_stream, and
-read_stream, which parses a line of single-digit tokens as bytes).
+uint8 array of the digits instead.  Streams are validated and converted in
+one vectorized step (make_stream, random_stream, and read_stream, which
+parses a line of single-digit tokens as bytes), and the stream keeps that
+array, so a scan does not re-encode the tuple; a stream built directly
+from a tuple makes its array on first use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .core import MaxMinPoly, check_base, mul_coeffs
-from .errors import BaseMismatch, InsufficientSupport, WindowTooShort
+from .errors import BaseMismatch, DigitOutOfRange, InsufficientSupport, WindowTooShort
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +39,8 @@ class DigitStream:
     base: int
     digits: tuple[int, ...]
     valid_to: int
+    # the digits as a read-only uint8 array, made once (see _array)
+    _uint8: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_base(self.base)
@@ -43,44 +48,60 @@ class DigitStream:
             raise ValueError("valid_to must lie within the digit buffer")
 
 
+def _array(stream: DigitStream) -> np.ndarray:
+    """The stream's digits as a read-only uint8 array."""
+    if stream._uint8 is None:
+        object.__setattr__(stream, "_uint8", np.frombuffer(bytes(stream.digits), np.uint8))
+    return stream._uint8
+
+
+def _stream(b: int, arr: np.ndarray, valid_to: int) -> DigitStream:
+    """A stream over the validated uint8 array `arr`, which it keeps."""
+    stream = DigitStream(b, tuple(arr.tolist()), valid_to)
+    arr.flags.writeable = False
+    object.__setattr__(stream, "_uint8", arr)
+    return stream
+
+
 def _digit_array(b: int, digits: Iterable[int]) -> np.ndarray:
-    """The digits as a uint8 array; ValueError names the first digit
-    outside 0..b-1."""
+    """The digits as a uint8 array of their own; DigitOutOfRange names the
+    first non-integer digit and ValueError the first outside 0..b-1."""
     check_base(b)
-    if not isinstance(digits, np.ndarray):
-        seq = digits if isinstance(digits, (list, tuple)) else list(digits)
+    if not (isinstance(digits, np.ndarray) and digits.dtype.kind in "biu"):
+        seq = digits.tolist() if isinstance(digits, np.ndarray) else digits
+        seq = seq if isinstance(seq, (list, tuple)) else list(seq)
         try:
             digits = np.frombuffer(bytes(seq), np.uint8)
         except (TypeError, ValueError):  # a non-integer, or outside one octet
+            for d in seq:
+                if not isinstance(d, numbers.Integral):
+                    raise DigitOutOfRange(f"digit {d!r} is not an integer") from None
             digits = np.array(seq, dtype=object)
     bad = (digits < 0) | (digits >= b)
     if bad.any():
         raise ValueError(f"digit {digits[bad.argmax()]} out of range for base {b}")
-    return digits.astype(np.uint8, copy=False)
+    return digits.astype(np.uint8)
 
 
 def _prefix(stream: DigitStream) -> np.ndarray:
     """uint8 view of the valid prefix, the only digits a scan reads."""
-    return np.frombuffer(bytes(stream.digits[: stream.valid_to]), np.uint8)
+    return _array(stream)[: stream.valid_to]
 
 
 def make_stream(b: int, digits: Iterable[int], valid_to: int | None = None) -> DigitStream:
     arr = _digit_array(b, digits)
-    return DigitStream(b, tuple(arr.tolist()), len(arr) if valid_to is None else valid_to)
+    return _stream(b, arr, len(arr) if valid_to is None else valid_to)
 
 
 def random_stream(b: int, length: int, seed: int) -> DigitStream:
     """iid uniform digits from the seeded PCG64 generator."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    return DigitStream(b, tuple(rng.integers(0, b, size=length).tolist()), length)
-
-
-_SUPPORT = bytes([0] + [1] * 255)
+    return _stream(b, rng.integers(0, b, size=length).astype(np.uint8), length)
 
 
 def support_stream(stream: DigitStream) -> DigitStream:
     """Base-2 indicator stream of the nonzero digits."""
-    return DigitStream(2, tuple(bytes(stream.digits).translate(_SUPPORT)), stream.valid_to)
+    return _stream(2, (_array(stream) != 0).view(np.uint8), stream.valid_to)
 
 
 def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitStream:
@@ -213,8 +234,8 @@ def t1_isolation_check(h1: DigitStream, m: int) -> bool:
     checked = max(0, h1.valid_to - m)  # the positions that see m digits ahead
     # an isolated 1 usually shows up early, so a short head is probed first
     for head in (min(checked, 1 << 12), checked):
-        seen = h1.digits[: min(head + m, h1.valid_to)]
-        if _has_isolated_one(np.frombuffer(bytes(seen), np.uint8) != 0, m, head):
+        seen = _prefix(h1)[: head + m]
+        if _has_isolated_one(seen != 0, m, head):
             return False
     return True
 

@@ -163,3 +163,44 @@ def oracle_unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
                 out[k] += 1
         packed >>= width
     return tuple(out)
+
+
+def oracle_residual(b: int, h: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """Largest q of len(h) - len(g) + 1 terms with q*g <= h coefficientwise:
+    min(q_i, g_j) <= h_{i+j} bounds q_i by h_{i+j} exactly when g_j exceeds it."""
+    return tuple(
+        min([h[i + j] for j, v in enumerate(g) if v > h[i + j]], default=b - 1)
+        for i in range(len(h) - len(g) + 1)
+    )
+
+
+def _divisor_candidates(b: int, h: Sequence[int]):
+    """Every non-monomial g with 1 <= deg g <= deg h / 2 in (deg, lex)
+    order, each with its exact maximal quotient or None."""
+    for dg in range(1, (len(h) - 1) // 2 + 1):
+        for g in itertools.product(*[range(b)] * dg, range(1, b)):
+            if _nnz(g) >= 2:
+                q = oracle_residual(b, h, g)
+                yield g, (q if oracle_mul(b, q, g) == tuple(h) else None)
+
+
+def oracle_first_witness(b: int, h: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first (g, maximal quotient) in (deg g, lex) order over every
+    divisor candidate, unpruned; None when h is irreducible or a monomial."""
+    for g, q in _divisor_candidates(b, h):
+        if q is not None and _nnz(q) >= 2:
+            return g, q
+    return None
+
+
+def oracle_factorizations(b: int, h: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every unordered non-monomial pair (g, f) with g*f == h in (deg g, g, f)
+    order, f ranging over everything below the maximal quotient."""
+    out = []
+    for g, q in _divisor_candidates(b, h):
+        if q is None:
+            continue
+        for f in itertools.product(*[range(c + 1) for c in q]):
+            if _nnz(f) >= 2 and (len(f) > len(g) or f >= g) and oracle_mul(b, f, g) == tuple(h):
+                out.append((g, f))
+    return out

@@ -109,6 +109,19 @@ def test_census_resume_rejects_threads(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ("census", "density"))
+@pytest.mark.parametrize("threads", ("0", "-3"))
+def test_threads_below_one_is_usage_error(command, threads, capsys):
+    argv = [command, "--b", "2", "--n", "4", "--threads", threads]
+    if command == "density":
+        argv += ["--trials", "8", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith(f"--threads must be >= 1, got {threads}")
+
+
 def test_partition(capsys):
     rep = run_json(capsys, "partition", "--b", "2", "--n", "6", "--d", "2", "--v", "2")
     assert sum(rep["sizes"]) >= rep["sigma"]

@@ -14,7 +14,14 @@ from maxminpoly.errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
-from oracles import all_nonzero_tuples, oracle_mul, oracle_reducible, product_table
+from oracles import (
+    all_nonzero_tuples,
+    oracle_factorizations,
+    oracle_first_witness,
+    oracle_mul,
+    oracle_reducible,
+    product_table,
+)
 
 P = core.parse_poly
 
@@ -166,6 +173,49 @@ def test_shift_puts_x_power_on_the_quotient():
                     assert shifted == (kind, None)
                 else:
                     assert shifted == (kind, (wit[0], (0,) * t + wit[1]))
+
+
+def _gapped(rng, b, deg):
+    """A random degree-deg tuple with nonzero end terms and, from degree 2
+    on, at least one interior zero."""
+    c = [rng.randrange(b) for _ in range(deg + 1)]
+    c[0], c[-1] = rng.randrange(1, b), rng.randrange(1, b)
+    if deg >= 2:
+        c[rng.randrange(1, deg)] = 0
+    return tuple(c)
+
+
+def _search_inputs(b, max_deg, count):
+    """Seeded products of two gapped factors, times x^t for t up to 2, and
+    every fourth input a random (mostly irreducible) tuple."""
+    rng = random.Random(1000 * b + max_deg)
+    for i in range(count):
+        t = rng.randint(0, min(2, max_deg - 3))
+        deg = rng.randint(3, max_deg - t)
+        if i % 4 == 3:
+            h = _gapped(rng, b, deg)
+        else:
+            dg = rng.randint(1, deg // 2)
+            h = oracle_mul(b, _gapped(rng, b, dg), _gapped(rng, b, deg - dg))
+        yield (0,) * t + h
+
+
+@pytest.mark.parametrize("b, max_deg, count", ((2, 18, 400), (3, 12, 300), (4, 10, 200), (10, 7, 80)))
+def test_search_matches_unpruned_reference(b, max_deg, count):
+    # class and first witness against every divisor in (deg, lex) order
+    # with plain residual division, so no pruning of the search can hide
+    # the first exact divisor
+    for h in _search_inputs(b, max_deg, count):
+        kind, wit = factor._classify_generic(b, h)
+        assert wit == oracle_first_witness(b, h), h
+        assert kind == (factor.REDUCIBLE if wit else factor.IRREDUCIBLE), h
+
+
+@pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))
+def test_all_factorizations_match_unpruned_reference(b, max_deg, count):
+    for h in _search_inputs(b, max_deg, count):
+        got = [(w.g.coeffs, w.h.coeffs) for w in factor.all_factorizations(core.MaxMinPoly(b, h))]
+        assert got == oracle_factorizations(b, h), h
 
 
 @given(nonzero_pairs())

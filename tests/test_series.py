@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maxminpoly import core, series
-from maxminpoly.errors import BaseMismatch, InsufficientSupport, WindowTooShort
+from maxminpoly.errors import BaseMismatch, DigitOutOfRange, InsufficientSupport, WindowTooShort
 from oracles import (
     naive_count_occurrences,
     naive_count_window_set,
@@ -24,6 +25,43 @@ def test_make_stream_and_validity():
         series.make_stream(2, [0, 2])
     with pytest.raises(ValueError):
         series.DigitStream(2, (0, 1), 3)
+
+
+@pytest.mark.parametrize(
+    "digits, named",
+    (
+        ([1.5, 2.9], "1.5"),
+        ([0, 1, 2.0], "2.0"),
+        ([1, "2"], "'2'"),
+        (np.array([1.5, 2.9]), "1.5"),
+        (np.array([0.0, 1.0]), "0.0"),
+    ),
+)
+def test_make_stream_rejects_non_integer_digits(digits, named):
+    with pytest.raises(DigitOutOfRange, match=f"digit {named} is not an integer"):
+        series.make_stream(3, digits)
+
+
+def test_make_stream_accepts_integer_arrays_and_owns_them():
+    arr = np.array([0, 1, 2, 1], dtype=np.int64)
+    s = series.make_stream(3, arr)
+    arr[0] = 2
+    assert s.digits == (0, 1, 2, 1) and series.count_occurrences(s, (0, 1)) == 1
+    assert series.make_stream(3, np.array([], dtype=float)).digits == ()
+    assert series.make_stream(2, np.array([True, False])).digits == (1, 0)
+
+
+def test_direct_stream_matches_made_stream():
+    # a stream built from a tuple makes its digit array on first use; the
+    # array takes no part in equality, hashing or repr
+    digits = tuple(random.Random(5).randrange(3) for _ in range(200))
+    direct = series.DigitStream(3, digits, 150)
+    made = series.make_stream(3, digits, 150)
+    assert direct == made and hash(direct) == hash(made) and repr(direct) == repr(made)
+    assert series.count_occurrences(direct, (0, 2)) == series.count_occurrences(made, (0, 2))
+    assert series.t1_forbidden_scan(direct, 0) == series.t1_forbidden_scan(made, 0)
+    assert series.support_stream(direct) == series.support_stream(made)
+    assert series.support_stream(made).digits == tuple(int(d != 0) for d in digits)
 
 
 def test_random_stream_deterministic():
