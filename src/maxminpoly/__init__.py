@@ -41,6 +41,7 @@ from .factor import (
     classify_prime,
     divides,
     is_prime_candidate,
+    prime_status,
     residual_divide,
 )
 

@@ -65,7 +65,7 @@ def _witness_json(w: factor.FactorWitness | None):
 def _cmd_classify(args) -> None:
     poly = _parse_poly_arg(args.poly, args.lenient)
     cls = factor.classify_irreducible(poly)
-    prime = factor.classify_prime(poly)
+    prime = factor.prime_status(poly, cls)
     _emit(
         args,
         {
@@ -86,7 +86,7 @@ def _cmd_factor(args) -> None:
         "input": core.format_poly(poly),
         "class": cls.kind,
         "witness": _witness_json(cls.witness),
-        "prime": factor.classify_prime(poly).kind,
+        "prime": factor.prime_status(poly, cls).kind,
     }
     if args.all:
         wits = factor.all_factorizations(poly, max_results=args.max_results)

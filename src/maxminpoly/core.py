@@ -13,7 +13,8 @@ operation is a pure function of its inputs.
 This module owns the one max-min product kernel: tuples are packed into
 their nested level planes {k : f_k >= s} (_pack, _unpack) and multiplied
 plane by plane with shifts and ORs (_times).  mul_coeffs and the searches,
-stream products and census tables of the other modules all use it.
+stream products and census tables of the other modules all use it; stream
+products read their digits back as bytes (_unpack_bytes), not as a tuple.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -159,8 +160,8 @@ def _pack(b: int, coeffs: Sequence[int], width: int) -> int:
     return int(padding.join(map(digits.translate, _PLANES[b])) or b"0", 2)
 
 
-def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
-    """Coefficient tuple of `length` terms from nested packed planes.
+def _unpack_bytes(packed: int, width: int, length: int) -> bytes:
+    """The first `length` coefficients of nested packed planes, one byte each.
 
     Each plane's low `length` bits become one 0/1 byte per term; read as
     base-256 numbers the planes add without carries (at most 255 planes), so
@@ -171,7 +172,12 @@ def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
     total = 0
     for stop in range(width, end + 1, width):
         total += int.from_bytes(bits[stop - length : stop], "big")
-    return tuple(total.to_bytes(length, "little"))
+    return total.to_bytes(length, "little")
+
+
+def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
+    """Coefficient tuple of `length` terms from nested packed planes."""
+    return tuple(_unpack_bytes(packed, width, length))
 
 
 def _times(q: int, g: Sequence[int], width: int) -> int:

@@ -332,7 +332,15 @@ def classify_prime(h: MaxMinPoly) -> PrimeStatus:
     reason = candidate_reason(h)
     if reason is not None:
         return PrimeStatus(NOT_CANDIDATE, reason=reason)
-    cls = classify_irreducible(h)
+    return prime_status(h, classify_irreducible(h))
+
+
+def prime_status(h: MaxMinPoly, cls: Classification) -> PrimeStatus:
+    """classify_prime(h) read off cls = classify_irreducible(h), for a
+    caller that already holds the classification; no search runs."""
+    reason = candidate_reason(h)
+    if reason is not None:
+        return PrimeStatus(NOT_CANDIDATE, reason=reason)
     if cls.kind == REDUCIBLE:
         return PrimeStatus(COMPOSITE_CANDIDATE, witness=cls.witness)
     return PrimeStatus(PRIME)

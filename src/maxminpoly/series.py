@@ -11,55 +11,88 @@ Occurrence counting is overlapping sliding-window counting throughout,
 and window frequencies are reported against the window count, so a set
 containing every length-r window has empirical frequency exactly 1.
 
-DigitStream.digits stays a tuple of ints; the scans (pattern counts, the
-forbidden-string and isolation checks, window-family counts) read a numpy
-uint8 array of the digits instead.  Streams are validated and converted in
-one vectorized step (make_stream, random_stream, and read_stream, which
-parses a line of single-digit tokens as bytes), and the stream keeps that
-array, so a scan does not re-encode the tuple; a stream built directly
-from a tuple makes its array on first use.
+A DigitStream stores its digits once, as a read-only numpy uint8 array
+(DigitStream.array), and every scan, product and file write reads that
+array.  DigitStream.digits is the same digits as a tuple of ints, built on
+first read and then kept; equality, hashing and repr are those of the
+(base, digits, valid_to) record.  Streams are validated and converted in
+one vectorized step (make_stream, random_stream, read_stream, which parses
+a line of single-digit tokens as bytes, and a DigitStream built directly
+from a digit sequence), and products come back from the level-plane kernel
+as bytes, so a long stream never holds one int object per digit unless a
+caller reads digits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import MaxMinPoly, check_base, mul_coeffs
+from .core import MaxMinPoly, _pack, _times, _unpack_bytes, check_base
 from .errors import BaseMismatch, DigitOutOfRange, InsufficientSupport, WindowTooShort
 
 
-@dataclass(frozen=True, slots=True)
 class DigitStream:
-    base: int
-    digits: tuple[int, ...]
-    valid_to: int
-    # the digits as a read-only uint8 array, made once (see _array)
-    _uint8: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    """base-b digits, of which the first valid_to are exact.
 
-    def __post_init__(self) -> None:
-        check_base(self.base)
-        if not 0 <= self.valid_to <= len(self.digits):
-            raise ValueError("valid_to must lie within the digit buffer")
+    DigitStream(base, digits, valid_to) validates the base, every digit and
+    valid_to.  `array` is the read-only uint8 array of the digits, the one
+    stored form; `digits` is the same digits as a tuple of ints, built on
+    first read.  Streams are immutable.
+    """
+
+    __slots__ = ("base", "array", "valid_to", "_digits")
+
+    def __init__(self, base: int, digits: Iterable[int], valid_to: int) -> None:
+        _init(self, base, _digit_array(base, digits), valid_to)
+
+    @property
+    def digits(self) -> tuple[int, ...]:
+        """The digits as a tuple of ints, built on first read and then kept."""
+        if self._digits is None:
+            object.__setattr__(self, "_digits", tuple(self.array.tolist()))
+        return self._digits
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.valid_to) == (other.base, other.valid_to) and np.array_equal(self.array, other.array)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.digits, self.valid_to))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(base={self.base!r}, digits={self.digits!r}, valid_to={self.valid_to!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_stream, (self.base, self.array, self.valid_to))
 
 
-def _array(stream: DigitStream) -> np.ndarray:
-    """The stream's digits as a read-only uint8 array."""
-    if stream._uint8 is None:
-        object.__setattr__(stream, "_uint8", np.frombuffer(bytes(stream.digits), np.uint8))
-    return stream._uint8
+def _init(stream: DigitStream, b: int, arr: np.ndarray, valid_to: int) -> None:
+    """Set the fields of a new stream over the uint8 digit array `arr`."""
+    check_base(b)
+    if not 0 <= valid_to <= len(arr):
+        raise ValueError("valid_to must lie within the digit buffer")
+    arr.flags.writeable = False
+    for name, value in (("base", b), ("array", arr), ("valid_to", valid_to), ("_digits", None)):
+        object.__setattr__(stream, name, value)
 
 
 def _stream(b: int, arr: np.ndarray, valid_to: int) -> DigitStream:
-    """A stream over the validated uint8 array `arr`, which it keeps."""
-    stream = DigitStream(b, tuple(arr.tolist()), valid_to)
-    arr.flags.writeable = False
-    object.__setattr__(stream, "_uint8", arr)
+    """A stream over `arr`, a uint8 array of base-b digits that it keeps."""
+    stream = DigitStream.__new__(DigitStream)
+    _init(stream, b, arr, valid_to)
     return stream
 
 
@@ -85,7 +118,7 @@ def _digit_array(b: int, digits: Iterable[int]) -> np.ndarray:
 
 def _prefix(stream: DigitStream) -> np.ndarray:
     """uint8 view of the valid prefix, the only digits a scan reads."""
-    return _array(stream)[: stream.valid_to]
+    return stream.array[: stream.valid_to]
 
 
 def make_stream(b: int, digits: Iterable[int], valid_to: int | None = None) -> DigitStream:
@@ -101,7 +134,7 @@ def random_stream(b: int, length: int, seed: int) -> DigitStream:
 
 def support_stream(stream: DigitStream) -> DigitStream:
     """Base-2 indicator stream of the nonzero digits."""
-    return _stream(2, (_array(stream) != 0).view(np.uint8), stream.valid_to)
+    return _stream(2, (stream.array != 0).view(np.uint8), stream.valid_to)
 
 
 def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitStream:
@@ -109,12 +142,18 @@ def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitSt
     if f.base != g.base:
         raise BaseMismatch(f"bases differ: {f.base} vs {g.base}")
     if isinstance(g, MaxMinPoly):
-        n_out, gd = f.valid_to, g.coeffs
+        n_out = f.valid_to
+        gd = bytes(g.coeffs[:n_out])
     else:
-        n_out, gd = min(f.valid_to, g.valid_to), g.digits
-    prod = mul_coeffs(f.digits[:n_out], gd[:n_out])
-    # prod is () for a zero factor and has at least n_out digits otherwise
-    return DigitStream(f.base, prod[:n_out] or (0,) * n_out, n_out)
+        n_out = min(f.valid_to, g.valid_to)
+        gd = _prefix(g)[:n_out].tobytes()
+    if not gd:  # a zero factor, or nothing exact
+        return _stream(f.base, np.zeros(n_out, np.uint8), n_out)
+    fd = f.array[:n_out]
+    # the first n_out digits of the product, packed at its full length
+    width = n_out + len(gd) - 1
+    packed = _times(_pack(int(fd.max()) + 1, fd, width), gd, width)
+    return _stream(f.base, np.frombuffer(_unpack_bytes(packed, width, n_out), np.uint8), n_out)
 
 
 # -- occurrence counting -------------------------------------------------------
@@ -171,19 +210,23 @@ class ZWindowSet:
         return Fraction(self.size(b), b**self.r)
 
 
+def _members(z: ZWindowSet, nonzero: np.ndarray, windows: int) -> np.ndarray:
+    """Which of the first `windows` length-r windows lie in z, given which
+    digits are nonzero (len(nonzero) >= windows + r - 1)."""
+    ok = np.ones(windows, dtype=bool)
+    for j, flag in enumerate(z.g1_prefix):
+        if flag:
+            ok &= nonzero[j : j + windows]
+    return ok
+
+
 def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Sequence[int]]]) -> int:
     """Total overlapping occurrences of every window in z."""
     if isinstance(z, ZWindowSet):
         r = z.r
         if r > stream.valid_to:
             raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
-        nonzero = _prefix(stream) != 0
-        windows = len(nonzero) - r + 1
-        ok = np.ones(windows, dtype=bool)
-        for j, flag in enumerate(z.g1_prefix):
-            if flag:
-                ok &= nonzero[j : j + windows]
-        return int(np.count_nonzero(ok))
+        return int(np.count_nonzero(_members(z, _prefix(stream) != 0, stream.valid_to - r + 1)))
     patterns = [tuple(p) for p in z]
     if not patterns:
         return 0
@@ -195,8 +238,10 @@ def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Seq
         raise WindowTooShort("windows must be nonempty")
     if r > stream.valid_to:
         raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
-    pats = set(patterns)
-    d = stream.digits
+    # a window is r digits in 0..b-1, so no other pattern can match it
+    digit = range(stream.base)
+    pats = {bytes(map(int, p)) for p in patterns if all(x in digit for x in p)}
+    d = _prefix(stream).tobytes()
     return sum(1 for start in range(stream.valid_to - r + 1) if d[start : start + r] in pats)
 
 
@@ -333,11 +378,9 @@ def t3_window_invariant(f: DigitStream, g: Union[MaxMinPoly, DigitStream], z: ZW
     r = z.r
     if r > h.valid_to:
         raise WindowTooShort(f"window length {r} exceeds valid prefix {h.valid_to}")
-    fd, hd = f.digits, h.digits
-    for s in range(min(f.valid_to, h.valid_to) - r + 1):
-        if fd[s] and not z.contains(hd[s : s + r]):
-            return False
-    return True
+    windows = min(f.valid_to, h.valid_to) - r + 1
+    outside = ~_members(z, _prefix(h) != 0, windows)
+    return not np.any(outside & (f.array[:windows] != 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -373,10 +416,12 @@ def z_frequency_report(h: DigitStream, z: Union[ZWindowSet, Iterable[Sequence[in
 
 
 def write_stream(path, stream: DigitStream) -> None:
-    """Two-line text format: 'b N' then N space-separated digits."""
+    """Two-line text format: 'b N' then N space-separated digits.  Only the
+    valid prefix is written, so N is valid_to and read_stream gives back
+    the stream's exact digits and nothing past them."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{stream.base} {len(stream.digits)}\n")
-        fh.write(" ".join(str(d) for d in stream.digits) + "\n")
+        fh.write(f"{stream.base} {stream.valid_to}\n")
+        fh.write(" ".join(map(str, _prefix(stream).tolist())) + "\n")
 
 
 def _parse_digits(line: str) -> Union[np.ndarray, list[int]]:

@@ -140,6 +140,12 @@ def naive_count_window_set(digits: Sequence[int], g1_prefix: Sequence[int], vali
     )
 
 
+def naive_window_invariant(f: Sequence[int], h: Sequence[int], z) -> bool:
+    """Every window of h (its valid prefix) that starts under a nonzero
+    digit of f is in the window family z, checked window by window."""
+    return all(not f[s] or z.contains(h[s : s + z.r]) for s in range(len(h) - z.r + 1))
+
+
 def oracle_pack(b: int, coeffs: Sequence[int], width: int) -> int:
     """Level planes {k : c_k >= s}, s = 1..b-1, at bit offset (s-1)*width,
     shifted in one coefficient at a time (quadratic in length)."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maxminpoly import cli, series
+from maxminpoly import cli, core, factor, series
 
 
 def run(capsys, *argv):
@@ -50,6 +50,24 @@ def test_decompose_set(capsys):
     assert sumset(a, b) == (0, 1, 2, 3)
     rep = run_json(capsys, "decompose-set", "1,2,4")
     assert rep["class"] == "irreducible"
+
+
+@pytest.mark.parametrize("poly", ("2:1,0,1", "2:1,1,1", "3:0,1,2", "3:1,1", "10:9,3,0,7,1"))
+@pytest.mark.parametrize("command", (["classify"], ["factor"], ["factor", "--all"]))
+def test_classify_and_factor_search_once(poly, command, monkeypatch, capsys):
+    calls = []
+    search = factor._classify_generic
+
+    def counted(b, h):
+        calls.append(h)
+        return search(b, h)
+
+    monkeypatch.setattr(factor, "_classify_generic", counted)
+    rep = run_json(capsys, *command, poly)
+    assert len(calls) == 1
+    monkeypatch.setattr(factor, "_classify_generic", search)
+    p = core.parse_poly(poly)
+    assert (rep["class"], rep["prime"]) == (factor.classify_irreducible(p).kind, factor.classify_prime(p).kind)
 
 
 def test_factor_all(capsys):

@@ -283,10 +283,12 @@ def test_candidate_prime_iff_irreducible_small():
         for coeffs in all_nonzero_tuples(b, max_deg):
             f = core.MaxMinPoly(b, coeffs)
             status = factor.classify_prime(f)
+            cls = factor.classify_irreducible(f)
+            assert factor.prime_status(f, cls) == status
             if not factor.is_prime_candidate(f):
                 assert status.kind == factor.NOT_CANDIDATE
                 continue
-            kind = factor.classify_irreducible(f).kind
+            kind = cls.kind
             if kind == factor.REDUCIBLE:
                 assert status.kind == factor.COMPOSITE_CANDIDATE
             else:

@@ -1,17 +1,20 @@
 """Digit streams, occurrence counters and the truncation diagnostics."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from maxminpoly import core, series
+from maxminpoly import cli, core, series
 from maxminpoly.errors import BaseMismatch, DigitOutOfRange, InsufficientSupport, WindowTooShort
 from oracles import (
     naive_count_occurrences,
+    naive_count_set,
     naive_count_window_set,
     naive_isolation,
+    naive_window_invariant,
     oracle_mul,
 )
 
@@ -25,6 +28,8 @@ def test_make_stream_and_validity():
         series.make_stream(2, [0, 2])
     with pytest.raises(ValueError):
         series.DigitStream(2, (0, 1), 3)
+    with pytest.raises(ValueError):
+        series.DigitStream(2, (0, 2), 2)
 
 
 @pytest.mark.parametrize(
@@ -52,8 +57,8 @@ def test_make_stream_accepts_integer_arrays_and_owns_them():
 
 
 def test_direct_stream_matches_made_stream():
-    # a stream built from a tuple makes its digit array on first use; the
-    # array takes no part in equality, hashing or repr
+    # equality, hashing and repr are those of the (base, digits, valid_to)
+    # record, however the stream was built
     digits = tuple(random.Random(5).randrange(3) for _ in range(200))
     direct = series.DigitStream(3, digits, 150)
     made = series.make_stream(3, digits, 150)
@@ -62,6 +67,118 @@ def test_direct_stream_matches_made_stream():
     assert series.t1_forbidden_scan(direct, 0) == series.t1_forbidden_scan(made, 0)
     assert series.support_stream(direct) == series.support_stream(made)
     assert series.support_stream(made).digits == tuple(int(d != 0) for d in digits)
+
+
+@pytest.fixture
+def streams_made(monkeypatch):
+    """Every stream made while the test runs; reading DigitStream.digits
+    (hash and repr read it too) fails meanwhile."""
+    made = []
+    init = series._init
+
+    def recorded(stream, *args):
+        init(stream, *args)
+        made.append(stream)
+
+    def built(stream):
+        raise AssertionError("the digits tuple was built")
+
+    monkeypatch.setattr(series, "_init", recorded)
+    monkeypatch.setattr(series.DigitStream, "digits", property(built))
+    return made
+
+
+def test_stream_ops_leave_the_digit_tuple_unbuilt(tmp_path, streams_made):
+    digits = (0, 1, 2, 0, 0, 1, 0, 0, 0, 2, 2, 1)
+    path = tmp_path / "s.txt"
+    path.write_text("3 12\n" + " ".join(map(str, digits)) + "\n")
+    s = series.read_stream(path)
+    t = series.make_stream(3, [1, 0, 2, 2, 0, 1, 1], 6)
+    h1 = series.support_stream(s)
+    g = P("3:1,0,2")
+    z = series.z_set(g, 3)
+    h = series.product_stream(s, g)
+    assert h.array.tolist() == list(oracle_mul(3, digits, g.coeffs)[:12])
+    assert series.product_stream(s, t).valid_to == 6
+    assert not series.product_stream(s, core.zero(3)).array.any()
+    assert series.random_stream(3, 5, seed=1).valid_to == 5
+    assert series.count_occurrences(s, (0, 0)) == naive_count_occurrences(digits, (0, 0), 12) == 3
+    assert series.count_set_occurrences(s, z) == naive_count_window_set(digits, (1, 0, 1), 12) == 1
+    assert series.count_set_occurrences(s, [(0, 0, 1), (0, 0, 2)]) == 2
+    assert series.t1_forbidden_scan(h1, 0) == 1 and not series.t1_isolation_check(h1, 0)
+    assert series.t3_window_invariant(t, g, z)
+    assert series.z_frequency_report(s, [(0, 1)]).occurrences == 2
+    series.write_stream(tmp_path / "t.txt", t)
+    assert series.read_stream(tmp_path / "t.txt").array.tolist() == [1, 0, 2, 2, 0, 1]
+    assert len(streams_made) == 9 and all(s._digits is None for s in streams_made)
+
+
+def test_series_scan_cli_leaves_the_digit_tuple_unbuilt(tmp_path, capsys, streams_made):
+    path = tmp_path / "s.txt"
+    path.write_text("2 10\n0 0 1 0 0 1 1 0 1 1\n")
+    for mode in (["--pattern", "0,1"], ["--t1", "0"], ["--t1", "2"], ["--z-from", "2:1,1,0,1,1,1"]):
+        assert cli.main(["series-scan", "--file", str(path), *mode]) == 0, capsys.readouterr().err
+    # one stream read per mode, and the support stream of each --t1 scan
+    assert len(streams_made) == 6 and all(s._digits is None for s in streams_made)
+
+
+@pytest.mark.parametrize("b", (2, 3, 10, 256))
+def test_array_streams_match_tuple_streams(b):
+    rng = random.Random(b)
+    cases = [((), 0), ((b - 1,), 0), ((0, 0, 0), 3)]
+    for _ in range(25):
+        digits = tuple(rng.randrange(b) if rng.random() < 0.7 else 0 for _ in range(rng.randint(1, 90)))
+        cases.append((digits, rng.randint(0, len(digits))))
+    for digits, valid_to in cases:
+        direct = series.DigitStream(b, digits, valid_to)
+        made = series.make_stream(b, np.array(digits, dtype=np.int64), valid_to)
+        for s in (direct, made):
+            assert s.digits == digits and s.array.tolist() == list(digits)
+            assert hash(s) == hash((b, digits, valid_to))
+            assert repr(s) == f"DigitStream(base={b}, digits={digits!r}, valid_to={valid_to})"
+            assert pickle.loads(pickle.dumps(s)) == s
+        assert direct == made and made != (b, digits, valid_to)
+        if digits:
+            changed = digits[:-1] + ((digits[-1] + 1) % b,)
+            assert made != series.make_stream(b, changed, valid_to)
+        if valid_to:
+            assert made != series.make_stream(b, digits, valid_to - 1)
+        n = valid_to
+        h1 = series.support_stream(made)
+        assert h1.digits == tuple(int(d != 0) for d in digits) and h1.valid_to == n
+        for k in {1, 2, 3}:
+            if k <= n:
+                start = rng.randrange(n - k + 1)
+                patterns = {digits[start : start + k], tuple(rng.randrange(b) for _ in range(k)), (b - 1,) * k, (b,) * k}
+                for pattern in patterns:
+                    assert series.count_occurrences(made, pattern) == naive_count_occurrences(digits, pattern, n)
+                assert series.count_set_occurrences(made, patterns) == naive_count_set(digits, patterns, n)
+                prefix = tuple(rng.randrange(2) for _ in range(k))
+                z = series.ZWindowSet(prefix, k, sum(prefix))
+                assert series.count_set_occurrences(made, z) == naive_count_window_set(digits, prefix, n)
+        for m in range(3):
+            if 2 * m + 3 <= n:
+                forbidden = (0,) * (m + 1) + (1,) + (0,) * (m + 1)
+                assert series.t1_forbidden_scan(h1, m) == naive_count_occurrences(h1.digits, forbidden, n)
+            assert series.t1_isolation_check(h1, m) == naive_isolation(h1.digits, m, n)
+        # products: by a polynomial (zero included) and by a stream of another length
+        other_digits = tuple(rng.randrange(b) for _ in range(rng.randint(0, 120)))
+        other = series.make_stream(b, other_digits, rng.randint(0, len(other_digits)))
+        polys = (core.zero(b), core.poly_new(b, [0, 0, b - 1]), core.poly_new(b, [rng.randrange(1, b) for _ in range(5)]))
+        for g in (*polys, other):
+            if isinstance(g, core.MaxMinPoly):
+                gd, out = g.coeffs, n
+            else:
+                gd, out = g.digits[: g.valid_to], min(n, g.valid_to)
+            h = series.product_stream(made, g)
+            full = oracle_mul(b, digits[:n], gd) if gd and n else ()
+            assert h.digits == (full + (0,) * out)[:out] and h.valid_to == out and h.array.dtype == np.uint8
+            # the family built from g always holds; an arbitrary one need not
+            if isinstance(g, core.MaxMinPoly) and core.nnz(g) and out:
+                r = min(out, core.degree(g) + 1)
+                prefix = tuple(rng.randrange(2) for _ in range(r))
+                for z in (series.z_set(g, r), series.ZWindowSet(prefix, r, sum(prefix))):
+                    assert series.t3_window_invariant(made, g, z) == naive_window_invariant(digits, h.digits, z)
 
 
 def test_random_stream_deterministic():
@@ -388,6 +505,16 @@ def test_stream_file_round_trip(tmp_path):
     back = series.read_stream(path)
     assert back == s
     assert path.read_text().splitlines()[0] == "7 64"
+
+
+def test_stream_file_keeps_only_the_valid_prefix(tmp_path):
+    s = series.make_stream(2, [0, 0, 1, 0, 0, 1, 1, 1], valid_to=5)
+    path = tmp_path / "stream.txt"
+    series.write_stream(path, s)
+    back = series.read_stream(path)
+    assert path.read_text() == "2 5\n0 0 1 0 0\n"
+    assert back == series.make_stream(2, [0, 0, 1, 0, 0])
+    assert series.count_occurrences(back, (1, 1)) == series.count_occurrences(s, (1, 1)) == 0
 
 
 def test_stream_file_length_mismatch(tmp_path):
