@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from . import __version__, factor
-from .core import MaxMinPoly, _pack, _times, _unpack, check_base
+from .core import MaxMinPoly, _pack, _terms, _times, _unpack, check_base
 from .errors import BudgetExceeded
 from .factor import REDUCIBLE
 
@@ -337,10 +337,11 @@ def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[
             for g in by_deg[dg]:
                 g_nnz = sum(1 for c in g if c)
                 g_a = _count_geq(g, a) if a >= 1 else 0
+                terms = list(_terms(g, width))
                 for f, packed in zip(by_deg[df], planes[df]):
                     if dg == df and f < g:
                         continue
-                    prod = _unpack(_times(packed, g, width), width, m + 1)
+                    prod = _unpack(_times(packed, terms), width, m + 1)
                     f_nnz = sum(1 for c in f if c)
                     f_a = _count_geq(f, a) if a >= 1 else 0
                     table.setdefault(prod, []).append((dg, f_nnz + g_nnz, f_a, g_a))
@@ -375,10 +376,15 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
     d, v = params.d, params.v
     a = b // 2
     half_d = d / 2
-    mean1 = Fraction((b - 1) * n, b)
-    mean1_pair = Fraction((b - 1) * (n + 1), b)
-    mean_a = Fraction((b - a) * n, b)
-    mean_a_pair = Fraction((b - a) * (n + 1), b)
+
+    def far(mean: Fraction) -> list[bool]:
+        # the deviation test |count - mean| > d/2, once per possible count
+        return [abs(c - mean) > half_d for c in range(2 * n + 3)]
+
+    far1 = far(Fraction((b - 1) * n, b))
+    far1_pair = far(Fraction((b - 1) * (n + 1), b))
+    far_a = far(Fraction((b - a) * n, b))
+    far_a_pair = far(Fraction((b - a) * (n + 1), b))
     table = _pair_stats_table(b, n - 1)
     sizes = [0] * 7
     sigma = 0
@@ -398,13 +404,13 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
             sigma += 1
         nnz1 = sum(1 for c in coeffs if c)
         cls = 0
-        if abs(nnz1 - mean1) > half_d:
+        if far1[nnz1]:
             cls = 1
-        elif reducible and any(abs(s[1] - mean1_pair) > half_d for s in witnesses):
+        elif reducible and any(far1_pair[s[1]] for s in witnesses):
             cls = 2
-        elif abs(_count_geq(coeffs, a) - mean_a) > half_d:
+        elif far_a[_count_geq(coeffs, a)]:
             cls = 3
-        elif reducible and any(abs(s[2] + s[3] - mean_a_pair) > half_d for s in witnesses):
+        elif reducible and any(far_a_pair[s[2] + s[3]] for s in witnesses):
             cls = 4
         elif reducible and any(s[0] <= v for s in witnesses):
             cls = 5
@@ -458,10 +464,10 @@ def close_pair_count(n: int, k: int, d: int, *, budget: int | None = None, force
         f = f_base | (f_mid << 1)
         fw = f.bit_count()
         # a base-2 bitmask is its own one-plane packing
-        f_coeffs = tuple((f >> j) & 1 for j in range(k + 1))
+        terms = list(_terms([(f >> j) & 1 for j in range(k + 1)], n + 1))
         for g_low in range(1 << (n - k)):
             g = g_base | g_low
-            if _times(g, f_coeffs, n + 1).bit_count() <= fw + g.bit_count() + d:
+            if _times(g, terms).bit_count() <= fw + g.bit_count() + d:
                 count += 1
     bound = close_pair_bound(n, k, d)
     if count > bound:

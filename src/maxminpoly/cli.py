@@ -391,6 +391,8 @@ def main(argv=None) -> int:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     if getattr(args, "resume", None) and args.threads > 1:
         parser.error("--resume runs one thread; drop --threads")
+    if getattr(args, "exhaustive", False) and args.threads > 1:
+        parser.error("--exhaustive runs one thread; drop --threads")
     try:
         args.func(args)
     except (MaxMinError, ValueError, OSError) as exc:

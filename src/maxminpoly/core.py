@@ -12,9 +12,15 @@ operation is a pure function of its inputs.
 
 This module owns the one max-min product kernel: tuples are packed into
 their nested level planes {k : f_k >= s} (_pack, _unpack) and multiplied
-plane by plane with shifts and ORs (_times).  mul_coeffs and the searches,
-stream products and census tables of the other modules all use it; stream
-products read their digits back as bytes (_unpack_bytes), not as a tuple.
+plane by plane with shifts and ORs (_times).  The second factor enters as
+its term list (_terms): its nonzero coefficients grouped by value, one
+(mask, positions) pair per value v, where the mask (_mask) keeps planes
+1..v, so a product is one AND per distinct value and one shift and OR per
+nonzero term.  The masks are built lazily, one at a time, for a one-shot
+product; a caller that multiplies by the same factor many times keeps its
+term list as a list.  mul_coeffs and the searches, stream products
+and census tables of the other modules all use it; stream products read
+their digits back as bytes (_unpack_bytes), not as a tuple.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -30,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -180,13 +186,38 @@ def _unpack(packed: int, width: int, length: int) -> tuple[int, ...]:
     return tuple(_unpack_bytes(packed, width, length))
 
 
-def _times(q: int, g: Sequence[int], width: int) -> int:
-    """Packed planes of q*g: plane s is the OR of (plane s of q) << j over
-    the j with g_j >= s.  Needs len(q) + len(g) - 1 <= width."""
-    prod = 0
+def _mask(v: int, width: int) -> int:
+    """Keeps planes 1..v of a polynomial packed at stride width."""
+    return (1 << (v * width)) - 1
+
+
+def _terms(g: Sequence[int], width: int) -> Iterator[tuple[int, list[int]]]:
+    """The term list of g at stride width: one (mask, positions) pair per
+    distinct nonzero value v of g, where mask = _mask(v, width) and
+    positions are the j with g_j = v.
+
+    Each mask is built when its pair is reached, so a product that reads
+    the list once holds one mask at a time; a caller that multiplies by g
+    many times keeps list(_terms(g, width)).
+    """
+    positions: dict[int, list[int]] = {}
     for j, v in enumerate(g):
         if v:
-            prod |= (q & ((1 << (v * width)) - 1)) << j
+            positions.setdefault(v, []).append(j)
+    for v, js in positions.items():
+        yield _mask(v, width), js
+
+
+def _times(q: int, terms: Iterable[tuple[int, Sequence[int]]]) -> int:
+    """Packed planes of q*g for the term list of g: plane s is the OR of
+    (plane s of q) << j over the j with g_j >= s, so q is ANDed once per
+    mask.  Needs len(q) + len(g) - 1 <= width, the stride of the term
+    list."""
+    prod = 0
+    for mask, positions in terms:
+        part = q & mask
+        for j in positions:
+            prod |= part << j
     return prod
 
 
@@ -196,7 +227,7 @@ def mul_coeffs(fa: Sequence[int], ga: Sequence[int]) -> tuple[int, ...]:
     if not fa or not ga:
         return ()
     width = len(fa) + len(ga) - 1
-    return _unpack(_times(_pack(max(fa) + 1, fa, width), ga, width), width, width)
+    return _unpack(_times(_pack(max(fa) + 1, fa, width), _terms(ga, width)), width, width)
 
 
 def mul(f: MaxMinPoly, g: MaxMinPoly) -> MaxMinPoly:

@@ -5,7 +5,9 @@ Everything runs on level planes.  The threshold maps f -> [f >= s] are
 semiring homomorphisms, so a base-b polynomial h is the b-1 nested boolean
 polynomials H_s = {k : h_k >= s}, and base 2 (sumsets) is the one-plane
 case.  The planes of h are packed into one int at stride W = len(h), plane
-s at bit offset (s-1)*W, by core's max-min product kernel (_pack, _times).
+s at bit offset (s-1)*W, by core's max-min product kernel (_pack, _times),
+which multiplies by the term list of a factor: its nonzero coefficients as
+(plane mask, positions) pairs.
 
 Division uses residuation: for a fixed divisor g the set of f with
 f*g <= h (coefficientwise) has a maximum Q, whose planes are
@@ -23,7 +25,11 @@ lowest first, ANDing each choice into Q and cutting a subtree as soon as Q
 cannot carry the quotient's end terms.  Leaves come in (degree,
 lexicographic) order over the little-endian coefficient tuples, so the
 first exact leaf is the first witness in that order, which makes
-classification deterministic.
+classification deterministic.  The search returns that leaf (or the first
+one a caller's visitor accepts) as (g, q), and None when there is none.
+The fixed nonzero coefficients of g are kept as a term list on a stack, one
+(mask, (k,)) pair each, so a node's prefix product costs one step per fixed
+nonzero term.
 
 Before it descends below a node that fixes g[:k+1] with quotient q, the
 search checks a cover bound.  Every leaf below keeps g[:k+1], has some
@@ -35,11 +41,12 @@ every leaf's product is at most
 
 the second term being q times b-1 on every free position (all planes of q
 shifted by i).  If that bound does not cover h, no leaf below is exact and
-the subtree is skipped.  Only subtrees without an exact leaf are cut, so
-the first witness, the factorization listings and every count stay the
-same; q has deg h - deg g + 1 terms per plane, so no shift leaves its
-plane.  On irreducible inputs, almost all of them at large degree, the
-bound removes most of the search.
+the subtree is skipped.  The root is the case k = 0: once g[0] is chosen,
+positions 1..deg g are all free.  Only subtrees without an exact leaf are
+cut, so the first witness, the factorization listings and every count
+stay the same; q has deg h - deg g + 1 terms per plane, so no shift leaves
+its plane.  On irreducible inputs, almost all of them at large degree,
+the bound removes most of the search.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
@@ -52,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
-from .core import MaxMinPoly, _pack, _repeat, _times, _unpack
+from .core import MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -130,21 +137,17 @@ def is_prime_candidate(f: MaxMinPoly) -> bool:
 # -- level planes --------------------------------------------------------------
 
 
-def _saturations(b: int, packed: int, width: int) -> list[int]:
-    """sat[v] for v = 1..b-1: plane s of sat[v] is plane min(s, v) of
-    `packed`, the planes of h that bound a quotient term against g_j = v."""
-    sat = [0] * (b - 1) + [packed]
-    for v in range(1, b - 1):
-        plane = (packed >> ((v - 1) * width)) & ((1 << width) - 1)
-        sat[v] = packed & ((1 << (v * width)) - 1) | plane * _repeat(width, b - 1 - v) << (v * width)
-    return sat
-
-
 def _levels(b: int, h: Sequence[int]) -> tuple[int, list[int], int]:
-    """The packed planes of h, their saturations, and bit 0 of every plane."""
+    """The packed planes of h; for v = 1..b-1 sat[v], whose plane s is
+    plane min(s, v) of h (the planes that bound a quotient term against
+    g_j = v); and bit 0 of every plane."""
     width = len(h)
     packed = _pack(b, h, width)
-    return packed, _saturations(b, packed, width), _repeat(width, b - 1)
+    sat = [packed] * b
+    for v in range(1, b - 1):
+        plane = packed >> ((v - 1) * width) & _mask(1, width)
+        sat[v] = packed & _mask(v, width) | plane * _repeat(width, b - 1 - v) << (v * width)
+    return packed, sat, _repeat(width, b - 1)
 
 
 def residual_coeffs(b: int, h: Sequence[int], g: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -158,7 +161,7 @@ def residual_coeffs(b: int, h: Sequence[int], g: Sequence[int]) -> Optional[tupl
     for j, v in enumerate(g):
         if v:
             q &= sat[v] >> j
-    if _times(q, g, len(h)) != target:
+    if _times(q, _terms(g, len(h))) != target:
         return None
     return _unpack(q, len(h), df + 1)
 
@@ -202,11 +205,17 @@ def _spread(q: int, n: int) -> int:
     return q | q << (n - span) if span < n else q
 
 
-def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[[tuple[int, ...], int], bool]) -> bool:
-    """Call visit(g, q) for every g with g[0] != 0 and degree in `degrees`
-    whose maximal quotient q (packed at stride len(h)) is exact and
-    non-monomial, in (degree, lexicographic) order of g; stop and return
-    True once visit does.  Requires h[0] != 0.
+def _divisors(
+    b: int,
+    h: Sequence[int],
+    degrees: Iterable[int],
+    visit: Optional[Callable[[tuple[int, ...], int], bool]] = None,
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """The first (g, q) in (degree, lexicographic) order of g that visit
+    accepts, or None; g ranges over the divisors with g[0] != 0 and degree
+    in `degrees` whose maximal quotient q (packed at stride len(h)) is
+    exact and non-monomial.  With visit=None the first such g is taken.
+    Requires h[0] != 0.
 
     g is fixed one coefficient at a time from the constant term up,
     trying 0 and then increasing values, and each choice ANDs into q.
@@ -216,15 +225,23 @@ def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[
     term (>= h[0]) and leading term (>= the lead of h), which also keeps q
     from dropping to one term.  A larger value at a position leaves a
     smaller q, so the first value that cuts ends the loop over that
-    position.  The cover bound (see the module docstring) is checked before
-    each descent; a larger value also raises g[k], so a value that fails
-    it skips only its own subtree.
+    position.
+
+    The fixed nonzero coefficients of g sit on a term stack (core's term
+    list), pushed on descent and popped on return, so the prefix product
+    of a node costs one AND, shift and OR per fixed nonzero term, and the
+    g tuple is built only at an exact leaf.  The cover bound (see the
+    module docstring) is checked at every choice below the lead, g[0]
+    included; a larger value also raises g[k], so a value that fails it
+    skips only its own subtree.
     """
     width = len(h)
-    target, sat, every_plane = _levels(b, h)
     low, lead = h[0], h[-1]
+    least = min(low, lead)
+    sat: list[int] = []
+    stack: list[tuple[int, tuple[int]]] = []
 
-    def extend(j: int, q: int) -> bool:
+    def extend(j: int, q: int) -> Optional[tuple[tuple[int, ...], int]]:
         # g is fixed below j and zero from j up: try g[j:dg] all zero, then
         # the next nonzero coefficient at dg-1, dg-2, ..., j, which is the
         # lexicographic order of what follows.
@@ -232,30 +249,37 @@ def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[
             qv = q & (sat[v] >> dg)
             if qv & need != need:
                 break
-            g[dg] = v
-            if _times(qv, g, width) == target and visit(tuple(g), qv):
-                return True
+            if _times(qv, stack) | (qv & mask[v]) << dg == target:
+                g[dg] = v
+                found = (tuple(g), qv)
+                if visit is None or visit(*found):
+                    return found
         for k in range(dg - 1, j - 1, -1):
             for v in range(1, b):
                 qv = q & (sat[v] >> k)
                 if qv & need != need:
                     break
-                g[k] = v
                 # cover bound: the leaves below keep g[:k+1], have a quotient
                 # <= qv and at most b-1 on positions k+1..dg
-                if (_times(qv, g[: k + 1], width) | _spread(qv, dg - k) << (k + 1)) & target != target:
+                if (_times(qv, stack) | (qv & mask[v]) << k | _spread(qv, dg - k) << (k + 1)) & target != target:
                     continue
-                if extend(k + 1, qv):
-                    return True
+                g[k] = v
+                stack.append((mask[v], (k,)))
+                found = extend(k + 1, qv)
+                stack.pop()
+                if found:
+                    return found
             g[k] = 0
-        return False
+        return None
 
-    least = min(low, lead)
     for dg in degrees:
         df = width - 1 - dg
         # the end terms of g pin q's end terms against h[dg] and h[df]
         if h[dg] < least or h[df] < least:
             continue
+        if not sat:  # the first degree that passes: pack h once
+            target, sat, every_plane = _levels(b, h)
+            mask = [_mask(v, width) for v in range(b)]
         need = (1 << ((low - 1) * width)) | (1 << ((lead - 1) * width + df))
         q = ((1 << (df + 1)) - 1) * every_plane & sat[low] & (sat[lead] >> dg)
         g = [0] * (dg + 1)
@@ -263,10 +287,16 @@ def _divisors(b: int, h: Sequence[int], degrees: Iterable[int], visit: Callable[
             qv = q & sat[v]
             if qv & need != need:
                 break
+            # the cover bound at the root: positions 1..dg are all free
+            if ((qv & mask[v]) | _spread(qv, dg) << 1) & target != target:
+                continue
             g[0] = v
-            if extend(1, qv):
-                return True
-    return False
+            stack.append((mask[v], (0,)))
+            found = extend(1, qv)
+            stack.pop()
+            if found:
+                return found
+    return None
 
 
 def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
@@ -282,15 +312,10 @@ def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tup
     t = 0
     while not h[t]:
         t += 1
-    found: list[tuple[tuple[int, ...], int]] = []
-
-    def first(g: tuple[int, ...], q: int) -> bool:
-        found.append((g, q))
-        return True
-
-    if not _divisors(b, h[t:], range(1, (len(h) - 1 - t) // 2 + 1), first):
+    found = _divisors(b, h[t:], range(1, (len(h) - 1 - t) // 2 + 1))
+    if found is None:
         return (IRREDUCIBLE, None)
-    g, q = found[0]
+    g, q = found
     return (REDUCIBLE, (g, (0,) * t + _unpack(q, len(h) - t, len(h) - t - len(g) + 1)))
 
 
@@ -361,6 +386,7 @@ def _cofactors(b: int, h: Sequence[int], g: Sequence[int], q: int) -> Iterator[t
     """
     width = len(h)
     target = _pack(b, h, width)
+    terms = list(_terms(g, width))
     top = _unpack(q, width, width - len(g) + 1)
     column = [_repeat(width, v) for v in range(b)]
     f = [0] * len(top)
@@ -374,7 +400,7 @@ def _cofactors(b: int, h: Sequence[int], g: Sequence[int], q: int) -> Iterator[t
         rest = packed & ~(column[b - 1] << idx)
         for v in range(1 if idx == len(top) - 1 else 0, top[idx] + 1):
             completion = rest | column[v] << idx
-            if v == top[idx] or _times(completion, g, width) == target:
+            if v == top[idx] or _times(completion, terms) == target:
                 f[idx] = v
                 yield from rec(idx + 1, completion)
 
@@ -415,6 +441,6 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
                         return True
                 return False
 
-            if dg - o < dh - t and _divisors(b, stripped, (dg - o,), collect):
+            if dg - o < dh - t and _divisors(b, stripped, (dg - o,), collect) is not None:
                 return out
     return out

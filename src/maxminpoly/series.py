@@ -33,7 +33,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .core import MaxMinPoly, _pack, _times, _unpack_bytes, check_base
+from .core import MaxMinPoly, _pack, _terms, _times, _unpack_bytes, check_base
 from .errors import BaseMismatch, DigitOutOfRange, InsufficientSupport, WindowTooShort
 
 
@@ -152,7 +152,7 @@ def product_stream(f: DigitStream, g: Union[MaxMinPoly, DigitStream]) -> DigitSt
     fd = f.array[:n_out]
     # the first n_out digits of the product, packed at its full length
     width = n_out + len(gd) - 1
-    packed = _times(_pack(int(fd.max()) + 1, fd, width), gd, width)
+    packed = _times(_pack(int(fd.max()) + 1, fd, width), _terms(gd, width))
     return _stream(f.base, np.frombuffer(_unpack_bytes(packed, width, n_out), np.uint8), n_out)
 
 
@@ -424,23 +424,39 @@ def write_stream(path, stream: DigitStream) -> None:
         fh.write(" ".join(map(str, _prefix(stream).tolist())) + "\n")
 
 
-def _parse_digits(line: str) -> Union[np.ndarray, list[int]]:
-    """The digits of a stream line: one byte each when every token is a
-    single ASCII digit separated by single spaces, else int() per token."""
-    raw = np.frombuffer(line.rstrip("\n").encode("ascii"), np.uint8)
-    digits = raw[0::2] - ord("0")
-    if len(raw) % 2 and (raw[1::2] == ord(" ")).all() and (digits < 10).all():
-        return digits
-    return [int(tok) for tok in line.split()]
+def _parse_digits(line: bytes) -> Union[np.ndarray, list[int]]:
+    """The digits of a stream line read as bytes: one byte each when every
+    token is a single ASCII digit separated by single spaces, else int()
+    per token of the decoded line."""
+    if len(line) % 2:
+        # read as little-endian words, a pair (digit c, space) is 0x2030 + c,
+        # so the subtraction leaves c, and any other pair wraps to 10 or more
+        words = np.frombuffer(line + b" ", "<u2") - 0x2030
+        if (words < 10).all():
+            return words.astype(np.uint8)
+    return [int(tok) for tok in line.decode("ascii").split()]
 
 
 def read_stream(path) -> DigitStream:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("stream file must start with 'b N'")
-        b, n = int(header[0]), int(header[1])
-        digits = _parse_digits(fh.readline())
+    """The stream of a file written by write_stream: its first two lines,
+    ended by LF, CR LF or CR as in text mode.
+
+    The file is read as bytes in one call, since a binary readline() of a
+    long digit line costs more than the rest of the parse.  A non-ASCII
+    byte anywhere in the file raises UnicodeDecodeError at its offset.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("ascii")
+    head, line, *_ = data.split(b"\n", 2) + [b"", b""]
+    if b"\r" in head or b"\r" in line:
+        head, line, *_ = data.splitlines() + [b"", b""]
+    header = head.decode("ascii").split()
+    if len(header) != 2:
+        raise ValueError("stream file must start with 'b N'")
+    b, n = int(header[0]), int(header[1])
+    digits = _parse_digits(line)
     if len(digits) != n:
         raise ValueError(f"stream file declares {n} digits but carries {len(digits)}")
     return make_stream(b, digits)

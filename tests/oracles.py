@@ -199,6 +199,19 @@ def oracle_first_witness(b: int, h: Sequence[int]) -> tuple[tuple[int, ...], tup
     return None
 
 
+def oracle_close_pairs(n: int, k: int, d: int) -> int:
+    """Boolean pairs (f, g), f(0) = 1, deg f = k, deg g = n - k, with
+    |f*g| <= |f| + |g| + d, over every pair of coefficient tuples."""
+    count = 0
+    for f_mid in itertools.product((0, 1), repeat=k - 1):
+        f = (1, *f_mid, 1)
+        for g_low in itertools.product((0, 1), repeat=n - k):
+            g = (*g_low, 1)
+            if _nnz(oracle_mul(2, f, g)) <= _nnz(f) + _nnz(g) + d:
+                count += 1
+    return count
+
+
 def oracle_factorizations(b: int, h: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every unordered non-monomial pair (g, f) with g*f == h in (deg g, g, f)
     order, f ranging over everything below the maximal quotient."""

@@ -7,7 +7,7 @@ import pytest
 
 from maxminpoly import census, core, factor
 from maxminpoly.errors import BudgetExceeded
-from oracles import oracle_reducible
+from oracles import oracle_close_pairs, oracle_reducible
 
 P = core.parse_poly
 
@@ -195,6 +195,13 @@ def test_close_pair_examples():
     n, k = 6, 2
     assert census.close_pair_count(n, k, n + 1) == 2 ** (n - 1)
     assert census.close_pair_count(8, 3, 2) <= 8**6 * 2**3
+
+
+def test_close_pair_count_matches_brute_force():
+    for n in range(2, 10):
+        for k in range(1, n):
+            for d in (0, 1, 2):
+                assert census.close_pair_count(n, k, d) == oracle_close_pairs(n, k, d), (n, k, d)
 
 
 def test_close_pair_validation():

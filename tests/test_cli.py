@@ -127,6 +127,15 @@ def test_census_resume_rejects_threads(tmp_path):
     assert exc.value.code == 2
 
 
+def test_density_exhaustive_rejects_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["density", "--b", "2", "--n", "4", "--trials", "8", "--seed", "1", "--exhaustive", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith("--exhaustive runs one thread; drop --threads")
+    assert cli.main(["density", "--b", "2", "--n", "4", "--trials", "8", "--seed", "1", "--exhaustive", "--threads", "1"]) == 0
+
+
 @pytest.mark.parametrize("command", ("census", "density"))
 @pytest.mark.parametrize("threads", ("0", "-3"))
 def test_threads_below_one_is_usage_error(command, threads, capsys):

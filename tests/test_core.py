@@ -152,6 +152,20 @@ def test_pack_matches_per_coefficient_reference(b):
                         assert core._unpack(packed, width, terms) == oracle_unpack(packed, width, terms)
 
 
+@pytest.mark.parametrize("b", (2, 3, 10, 256))
+def test_term_list_product_matches_reference(b):
+    # q and g with interior and edge zeros, at the product's length and above
+    rng = random.Random(b)
+    for _ in range(60):
+        q = [rng.randrange(b) if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 40))]
+        g = [rng.randrange(b) if rng.random() < 0.6 else 0 for _ in range(rng.randint(1, 40))]
+        want = oracle_mul(b, q, g)
+        for width in (len(q) + len(g) - 1, len(q) + len(g) + 3, 3 * (len(q) + len(g))):
+            packed = core._times(core._pack(b, q, width), core._terms(g, width))
+            assert core._unpack(packed, width, len(want)) == want
+            assert packed == core._pack(b, want, width)
+
+
 def test_pack_of_no_planes_is_zero():
     assert core._pack(1, (0, 0), 2) == 0
     assert core._pack(2, (), 0) == 0

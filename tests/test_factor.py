@@ -211,6 +211,28 @@ def test_search_matches_unpruned_reference(b, max_deg, count):
         assert kind == (factor.REDUCIBLE if wit else factor.IRREDUCIBLE), h
 
 
+@pytest.mark.parametrize("b, max_deg", ((2, 16), (3, 10), (4, 8), (10, 6)))
+def test_binomial_first_witness_matches_unpruned_reference(b, max_deg):
+    # products with a binomial factor g0 + v*x^dg, whose search path fixes
+    # g[0] and then only the lead, so the cover bound at the g[0] choice
+    # alone decides whether it is reached
+    rng = random.Random(7000 + b)
+    binomial = gapped = 0
+    for _ in range(120):
+        t = rng.randint(0, 1)
+        deg = rng.randint(2, max_deg - t)
+        dg = rng.randint(1, deg // 2)
+        g = (rng.randrange(1, b),) + (0,) * (dg - 1) + (rng.randrange(1, b),)
+        h = (0,) * t + oracle_mul(b, g, _gapped(rng, b, deg - dg))
+        want = oracle_first_witness(b, h)
+        if want is None or core.nnz(core.MaxMinPoly(b, want[0])) != 2:
+            continue
+        binomial += 1
+        gapped += len(want[0]) > 2
+        assert factor._classify_generic(b, h) == (factor.REDUCIBLE, want), h
+    assert binomial >= 60 and gapped >= 20
+
+
 @pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))
 def test_all_factorizations_match_unpruned_reference(b, max_deg, count):
     for h in _search_inputs(b, max_deg, count):

@@ -1,6 +1,7 @@
-"""The experiment scripts run end to end on tiny arguments and print CSV."""
+"""The experiment scripts run end to end on tiny arguments and print CSV or table rows."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,27 @@ def test_script_prints_csv(script, args, header):
     assert lines[0] == header
     width = len(header.split(","))
     assert len(lines) >= 2 and all(len(line.split(",")) == width for line in lines[1:])
+
+
+def test_frontier_prints_table_rows():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def frontier(*args):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "frontier.py"), *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    lines = frontier("--grid", "2:6,4", "3:3")
+    assert lines[:2] == ["| b | n | wall |", "|---|---|---|"]
+    rows = [re.fullmatch(r"\| (\d+) \| (\d+) \| \d+\.\d\d s \|", line) for line in lines[2:5]]
+    assert [row.groups() for row in rows] == [("2", "4"), ("2", "6"), ("3", "3")]
+    assert lines[5:] == ["Frontier (largest n under 60 s): b=2: 6, b=3: 3"]
+    # no process starts and finishes inside a millisecond
+    assert frontier("--cap", "0.001", "--grid", "2:4,6")[2:] == [
+        "| 2 | 4 | > 0.001 s |",
+        "| 2 | 6 | not run |",
+        "Frontier (largest n under 0.001 s): b=2: none",
+    ]

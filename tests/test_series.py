@@ -565,3 +565,17 @@ def test_stream_file_rejects_malformed(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         series.read_stream(path)
+
+
+@pytest.mark.parametrize(
+    "body, position",
+    ((b"3 3\n0 \xc3\xa9 1\n", 6), (b"3 3\r\n0 \xff 1\r\n", 7), (b"3\xff 3\n0 1 1\n", 1), (b"3 3\n0 1 1\n\xff\n", 10)),
+)
+def test_stream_file_non_ascii_byte_names_its_file_offset(tmp_path, body, position):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(body)
+    byte = body[position : position + 1]
+    message = f"'ascii' codec can't decode byte {byte[0]:#x} in position {position}: ordinal not in range(128)"
+    with pytest.raises(UnicodeDecodeError) as exc:
+        series.read_stream(path)
+    assert str(exc.value) == message
