@@ -23,10 +23,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 TRIALS = 4096
 SEED = 1
 GRID = (
-    "2:32,64,128,256,384,512,768",
-    "3:24,32,64,128,192,256",
-    "4:20,24,32,64,96,128,192",
-    "10:10,12,16,24,28,32,40",
+    "2:32,64,128,256,384,512,768,1024,1536,2048",
+    "3:24,32,64,128,192,256,384,512,768,1024",
+    "4:20,24,32,64,96,128,192,256,384,512",
+    "10:10,12,16,24,28,32,40,48,56,64",
 )
 
 

@@ -289,6 +289,8 @@ class BoundParams:
 
     @staticmethod
     def make(d, v) -> "BoundParams":
+        if not (math.isfinite(d) and math.isfinite(v)):
+            raise ValueError("d and v must be finite")
         return BoundParams(Fraction(d), Fraction(v))
 
 

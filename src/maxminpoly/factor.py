@@ -21,8 +21,7 @@ and g divides h exactly when Q*g == h, checked plane by plane as
 A polynomial is irreducible when every factorization has a monomial
 factor.  One depth-first search decides it and finds the witness: it fixes
 a divisor g of degree 1 <= deg g <= deg h / 2 one coefficient at a time,
-lowest first, ANDing each choice into Q and cutting a subtree as soon as Q
-cannot carry the quotient's end terms.  Leaves come in (degree,
+lowest first, ANDing each choice into Q.  Leaves come in (degree,
 lexicographic) order over the little-endian coefficient tuples, so the
 first exact leaf is the first witness in that order, which makes
 classification deterministic.  The search returns that leaf (or the first
@@ -31,22 +30,37 @@ The fixed nonzero coefficients of g are kept as a term list on a stack, one
 (mask, (k,)) pair each, so a node's prefix product costs one step per fixed
 nonzero term.
 
+Each position of g has a value cap, read off the coefficients of h.  The
+end terms of h are the minima of those of g and its quotient f, so
+f_0 >= h_0 and f_{deg f} >= lead(h), and g_i = v > 0 forces
+h_i >= min(v, h_0) and h_{i + deg f} >= min(v, lead(h)).  So
+
+    cap_i = min(h_i if h_i < h_0 else b-1,
+                h_{i + deg f} if h_{i + deg f} < lead(h) else b-1),
+
+which is 0 unless h_i and h_{i + deg f} are both nonzero.  The search
+visits only the positions with a nonzero cap and tries only the values up
+to it; no exact divisor holds a larger value, and every value within the
+caps keeps the quotient's end terms in Q.
+
 Before it descends below a node that fixes g[:k+1] with quotient q, the
-search checks a cover bound.  Every leaf below keeps g[:k+1], has some
-digit at each of the positions k+1..deg g, and has a quotient <= q, since
-each choice only ANDs into q.  The product is monotone in both factors, so
-every leaf's product is at most
+search checks a cover bound.  Every leaf below keeps g[:k+1], has at most
+cap_i at each free position i above k (the lead included), and has a
+quotient <= q, since each choice only ANDs into q.  The product is
+monotone in both factors, so every leaf's product is at most
 
-    q*g[:k+1]  OR  (OR over i = k+1..deg g of q << i),
+    q*g[:k+1]  OR  (OR over the free i above k of (p & planes 1..cap_i) << i)
 
-the second term being q times b-1 on every free position (all planes of q
-shifted by i).  If that bound does not cover h, no leaf below is exact and
-the subtree is skipped.  The root is the case k = 0: once g[0] is chosen,
-positions 1..deg g are all free.  Only subtrees without an exact leaf are
-cut, so the first witness, the factorization listings and every count
-stay the same; q has deg h - deg g + 1 terms per plane, so no shift leaves
-its plane.  On irreducible inputs, almost all of them at large degree,
-the bound removes most of the search.
+for any p >= q.  The second term is the capped completion; the search
+takes p to be the quotient before g[k] was chosen, so one completion
+serves every value at position k.  If the bound does not cover h, no leaf
+below is exact and the subtree is skipped.  The root is the case k = 0:
+once g[0] is chosen, positions 1..deg g are all free.  The caps cut only
+values that no exact leaf holds and the bound only subtrees without an
+exact leaf, so the first witness, the factorization listings and every
+count stay the same; q has deg h - deg g + 1 terms per plane, so no shift
+leaves its plane.  On irreducible inputs, almost all of them at large
+degree, the caps and the bound remove most of the search.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
@@ -196,15 +210,6 @@ def divides(g: MaxMinPoly, h: MaxMinPoly) -> bool:
 # -- the divisor search ----------------------------------------------------------
 
 
-def _spread(q: int, n: int) -> int:
-    """OR of q << i over i = 0..n-1 (n >= 1), by shift-doubling."""
-    span = 1
-    while 2 * span <= n:
-        q |= q << span
-        span *= 2
-    return q | q << (n - span) if span < n else q
-
-
 def _divisors(
     b: int,
     h: Sequence[int],
@@ -217,95 +222,119 @@ def _divisors(
     exact and non-monomial.  With visit=None the first such g is taken.
     Requires h[0] != 0.
 
-    g is fixed one coefficient at a time from the constant term up,
-    trying 0 and then increasing values, and each choice ANDs into q.
-    g[0] starts at h[0] and the lead of g at the lead of h, since the end
-    terms of h are the minima of those of g and q.  Since q only shrinks,
-    a subtree is cut once q can no longer carry the quotient's constant
-    term (>= h[0]) and leading term (>= the lead of h), which also keeps q
-    from dropping to one term.  A larger value at a position leaves a
-    smaller q, so the first value that cuts ends the loop over that
-    position.
+    g is fixed one coefficient at a time from the constant term up, and
+    each choice ANDs into q.  Per degree, the free positions are the k in
+    1..deg g - 1 with a nonzero cap (the set bits of support &
+    (support >> deg f) there); they take 0 and then 1..cap_k, g[0] runs
+    from h[0] and the lead of g from the lead of h up to their caps (see
+    the module docstring).
 
     The fixed nonzero coefficients of g sit on a term stack (core's term
     list), pushed on descent and popped on return, so the prefix product
     of a node costs one AND, shift and OR per fixed nonzero term, and the
-    g tuple is built only at an exact leaf.  The cover bound (see the
-    module docstring) is checked at every choice below the lead, g[0]
-    included; a larger value also raises g[k], so a value that fails it
-    skips only its own subtree.
+    g tuple is built only at an exact leaf.  The cover bound with the
+    capped completion is checked at every choice below the lead, g[0]
+    included.  A node builds the completion from its own quotient as k
+    descends, so each free position adds one term to it.  The node's
+    quotient times the fixed prefix bounds the prefix product of every
+    choice below it, so a choice is first held against the part of h that
+    neither covers, and the exact prefix product is taken only when that
+    part is covered.  A larger value also raises g[k], so a value that
+    fails the bound skips only its own subtree.
     """
     width = len(h)
     low, lead = h[0], h[-1]
-    least = min(low, lead)
+    top = b - 1
     sat: list[int] = []
     stack: list[tuple[int, tuple[int]]] = []
 
     def extend(j: int, q: int) -> Optional[tuple[tuple[int, ...], int]]:
-        # g is fixed below j and zero from j up: try g[j:dg] all zero, then
-        # the next nonzero coefficient at dg-1, dg-2, ..., j, which is the
-        # lexicographic order of what follows.
-        for v in range(lead, b):
+        # g is fixed below free[j] and zero from there up: try g[free[j]:dg]
+        # all zero, then the next nonzero coefficient at the free positions
+        # from the highest down to free[j], which is the lexicographic
+        # order of what follows.  Every qv below is <= q, so the prefix
+        # product of q bounds theirs.
+        upper = _times(q, stack)
+        for v in range(lead, lead_top + 1):
             qv = q & (sat[v] >> dg)
-            if qv & need != need:
-                break
-            if _times(qv, stack) | (qv & mask[v]) << dg == target:
+            part = (qv & mask[v]) << dg
+            if upper | part == target and _times(qv, stack) | part == target:
                 g[dg] = v
                 found = (tuple(g), qv)
                 if visit is None or visit(*found):
                     return found
-        for k in range(dg - 1, j - 1, -1):
-            for v in range(1, b):
+        completion = (q & mask[lead_top]) << dg
+        for t in range(len(free) - 1, j - 1, -1):
+            k, cap = free[t]
+            rest = target & ~(upper | completion)
+            for v in range(1, cap + 1):
                 qv = q & (sat[v] >> k)
-                if qv & need != need:
-                    break
+                part = (qv & mask[v]) << k
+                if rest & part != rest:
+                    continue
                 # cover bound: the leaves below keep g[:k+1], have a quotient
-                # <= qv and at most b-1 on positions k+1..dg
-                if (_times(qv, stack) | (qv & mask[v]) << k | _spread(qv, dg - k) << (k + 1)) & target != target:
+                # <= qv and at most cap_i on the free positions i above k
+                if (_times(qv, stack) | part | completion) & target != target:
                     continue
                 g[k] = v
                 stack.append((mask[v], (k,)))
-                found = extend(k + 1, qv)
+                found = extend(t + 1, qv)
                 stack.pop()
                 if found:
                     return found
             g[k] = 0
+            completion |= (q & mask[cap]) << k
         return None
 
     for dg in degrees:
         df = width - 1 - dg
-        # the end terms of g pin q's end terms against h[dg] and h[df]
-        if h[dg] < least or h[df] < least:
+        # the caps (see the module docstring): g[0] <= low_top, the lead
+        # <= lead_top, and g_k <= cap_k at the free positions k, the k in
+        # 1..dg-1 with h_k and h_{k+df} nonzero; the capped completion of
+        # the root, where positions 1..dg are all free, is built alongside
+        c, d = h[df], h[dg]
+        low_top = c if c < lead else top
+        lead_top = d if d < low else top
+        if low_top < low or lead_top < lead:
             continue
         if not sat:  # the first degree that passes: pack h once
             target, sat, every_plane = _levels(b, h)
             mask = [_mask(v, width) for v in range(b)]
-        need = (1 << ((low - 1) * width)) | (1 << ((lead - 1) * width + df))
+            support = target & mask[1]
         q = ((1 << (df + 1)) - 1) * every_plane & sat[low] & (sat[lead] >> dg)
+        completion = (q & mask[lead_top]) << dg
+        free = []
+        bits = support & (support >> df) & ((1 << dg) - 2)
+        while bits:
+            k = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            c, d = h[k], h[k + df]
+            cap = min(c if c < low else top, d if d < lead else top)
+            free.append((k, cap))
+            completion |= (q & mask[cap]) << k
         g = [0] * (dg + 1)
-        for v in range(low, b):
+        for v in range(low, low_top + 1):
             qv = q & sat[v]
-            if qv & need != need:
-                break
-            # the cover bound at the root: positions 1..dg are all free
-            if ((qv & mask[v]) | _spread(qv, dg) << 1) & target != target:
+            if ((qv & mask[v]) | completion) & target != target:
                 continue
             g[0] = v
             stack.append((mask[v], (0,)))
-            found = extend(1, qv)
+            found = extend(0, qv)
             stack.pop()
             if found:
                 return found
     return None
 
 
-def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
+def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tuple[int, ...], int]]]:
     """Classify a raw canonical nonzero coefficient tuple over base b; the
     one search entry point behind classification, census and density.
 
-    The search runs on h / x^t, t = ord h, and puts x^t back onto the
-    quotient: a divisor of positive order would have a lower-degree
-    divisor of h / x^t in front of it, so the first witness is the same.
+    The search runs on h / x^t, t = ord h: a divisor of positive order
+    would have a lower-degree divisor of h / x^t in front of it, so the
+    first witness is the same.  The witness is (g, q) with q the packed
+    quotient of h / x^t, which _witness_pair turns into coefficients; the
+    callers that read only the class never unpack it.
     """
     if len(h) - h.count(0) == 1:
         return (MONOMIAL, None)
@@ -313,10 +342,18 @@ def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tup
     while not h[t]:
         t += 1
     found = _divisors(b, h[t:], range(1, (len(h) - 1 - t) // 2 + 1))
-    if found is None:
-        return (IRREDUCIBLE, None)
-    g, q = found
-    return (REDUCIBLE, (g, (0,) * t + _unpack(q, len(h) - t, len(h) - t - len(g) + 1)))
+    return (IRREDUCIBLE, None) if found is None else (REDUCIBLE, found)
+
+
+def _witness_pair(h: Sequence[int], witness: tuple[tuple[int, ...], int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The witness (g, q) that _classify_generic returned for h as the
+    coefficient tuples of g and of x^t * q, t = ord h."""
+    g, q = witness
+    t = 0
+    while not h[t]:
+        t += 1
+    width = len(h) - t
+    return g, (0,) * t + _unpack(q, width, width - len(g) + 1)
 
 
 def _b2_reducible(h: int) -> bool:
@@ -335,7 +372,7 @@ def classify_irreducible(h: MaxMinPoly) -> Classification:
     kind, witt = _classify_generic(h.base, h.coeffs)
     if witt is None:
         return Classification(kind)
-    g, q = witt
+    g, q = _witness_pair(h.coeffs, witt)
     return Classification(
         REDUCIBLE,
         make_witness(h, MaxMinPoly(h.base, g), MaxMinPoly(h.base, q)),

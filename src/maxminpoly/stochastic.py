@@ -136,8 +136,8 @@ def hoeffding_experiment(config: ExperimentConfig, i: int, epsilon: float) -> Ta
     b, n = config.b, config.n
     if not 1 <= i <= b - 1:
         raise LevelOutOfRange(f"level {i} outside 1..{b - 1}")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     mean = (b - i) * n / b
     threshold = epsilon * n
     hits = 0

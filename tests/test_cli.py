@@ -110,6 +110,12 @@ def test_census_resume(tmp_path, capsys):
         ["hoeffding", "--b", "2", "--n", "0", "--i", "1", "--eps", "0.1", "--trials", "5", "--seed", "1"],
         ["bounds", "--b", "2", "--n", "0", "--d", "1", "--v", "1"],
         ["density", "--b", "2", "--n", "0", "--trials", "5", "--seed", "1"],
+        ["partition", "--b", "2", "--n", "4", "--d", "inf", "--v", "2"],
+        ["partition", "--b", "2", "--n", "4", "--d", "2", "--v", "nan"],
+        ["bounds", "--b", "2", "--n", "4", "--d", "1", "--v", "inf"],
+        ["bounds", "--b", "2", "--n", "4", "--d", "nan", "--v", "1"],
+        ["hoeffding", "--b", "2", "--n", "4", "--i", "1", "--eps", "nan", "--trials", "5", "--seed", "1"],
+        ["hoeffding", "--b", "2", "--n", "4", "--i", "1", "--eps", "inf", "--trials", "5", "--seed", "1"],
     ),
 )
 def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, capsys):

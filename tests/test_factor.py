@@ -143,13 +143,19 @@ def test_classify_agrees_with_oracle_small():
                 assert kind == factor.IRREDUCIBLE, coeffs
 
 
+def _search(b, h):
+    """factor._classify_generic with the witness as coefficient tuples."""
+    kind, wit = factor._classify_generic(b, h)
+    return kind, wit and factor._witness_pair(h, wit)
+
+
 def test_search_witness_is_first_oracle_factor():
     # the first factor in (deg, lex) order with deg <= deg h / 2, paired
     # with the pointwise max of its partners (the maximal quotient)
     for b, max_deg in ((2, 10), (3, 6), (4, 4), (5, 4)):
         table = product_table(b, max_deg)
         for coeffs in all_nonzero_tuples(b, max_deg):
-            kind, wit = factor._classify_generic(b, coeffs)
+            kind, wit = _search(b, coeffs)
             if b == 2 and kind != factor.MONOMIAL:
                 assert factor._b2_reducible(support_mask(coeffs)) == (kind == factor.REDUCIBLE)
             pairs = table.get(coeffs)
@@ -163,12 +169,45 @@ def test_search_witness_is_first_oracle_factor():
             assert wit == (g, tuple(max(cs) for cs in zip(*partners))), coeffs
 
 
+def _cap(b, h, i, df):
+    """The cap of g_i for a divisor g of h with a degree-df quotient."""
+    low, lead = h[0], h[-1]
+    return min(h[i] if h[i] < low else b - 1, h[i + df] if h[i + df] < lead else b - 1)
+
+
+def test_caps_hold_for_every_factor_pair():
+    # no exact factor pair exceeds the caps of its product, with either
+    # factor as the divisor, and the capped search reaches every divisor
+    # of its degree range
+    tight = 0
+    for b, max_deg in ((2, 10), (3, 6), (4, 4), (5, 4)):
+        for h, pairs in product_table(b, max_deg).items():
+            divisors = set()
+            for pair in pairs:
+                for g, f in (pair, pair[::-1]):
+                    caps = [_cap(b, h, i, len(f) - 1) for i in range(len(g))]
+                    assert all(v <= cap for v, cap in zip(g, caps)), (h, g, f)
+                    tight += any(0 < cap < b - 1 for cap in caps)
+                    if h[0] and len(g) <= len(f):
+                        divisors.add(g)
+            for g in divisors:
+                found = factor._divisors(b, h, (len(g) - 1,), lambda d, q: d == g)
+                assert found is not None and found[0] == g, (h, g)
+    assert tight
+
+
+def test_heavy_base10_draw_is_irreducible():
+    # a sampled b=10 n=32 draw that took 85 s before the caps
+    h = P("10:8,1,4,2,6,6,8,2,6,3,6,3,3,8,9,5,2,5,8,3,8,5,5,6,5,4,3,5,6,4,3,2")
+    assert factor.classify_irreducible(h).kind == factor.IRREDUCIBLE
+
+
 def test_shift_puts_x_power_on_the_quotient():
     for b, max_deg in ((2, 7), (3, 4)):
         for coeffs in all_nonzero_tuples(b, max_deg):
-            kind, wit = factor._classify_generic(b, coeffs)
+            kind, wit = _search(b, coeffs)
             for t in (1, 3):
-                shifted = factor._classify_generic(b, (0,) * t + coeffs)
+                shifted = _search(b, (0,) * t + coeffs)
                 if wit is None:
                     assert shifted == (kind, None)
                 else:
@@ -206,7 +245,7 @@ def test_search_matches_unpruned_reference(b, max_deg, count):
     # with plain residual division, so no pruning of the search can hide
     # the first exact divisor
     for h in _search_inputs(b, max_deg, count):
-        kind, wit = factor._classify_generic(b, h)
+        kind, wit = _search(b, h)
         assert wit == oracle_first_witness(b, h), h
         assert kind == (factor.REDUCIBLE if wit else factor.IRREDUCIBLE), h
 
@@ -229,7 +268,7 @@ def test_binomial_first_witness_matches_unpruned_reference(b, max_deg):
             continue
         binomial += 1
         gapped += len(want[0]) > 2
-        assert factor._classify_generic(b, h) == (factor.REDUCIBLE, want), h
+        assert _search(b, h) == (factor.REDUCIBLE, want), h
     assert binomial >= 60 and gapped >= 20
 
 
