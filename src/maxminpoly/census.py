@@ -13,20 +13,26 @@ partition census splits the same space into seven deviation classes keyed
 on support sizes and factorization shapes, evaluating the explicit tail
 bound attached to each class; enumeration order is lexicographic on the
 coefficient vectors, so shard ranges are well-defined and resumable.
+`run_shards` runs the shards of the census, the checkpointed census and
+the density sampler; the partition runs unsharded, as every worker would
+rebuild its table of factor pairs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__, factor
-from .core import MaxMinPoly, _pack, _terms, _times, _unpack, check_base
+from .core import MaxMinPoly, _pack, _terms, _times, _trim, _unpack, check_base
 from .errors import BudgetExceeded
 from .factor import REDUCIBLE
 
@@ -43,6 +49,27 @@ def configured_budget() -> int:
     if raw is None:
         return DEFAULT_BUDGET
     return int(raw)
+
+
+def _check_budget(count: int, what: str, budget: int | None, force: bool, unit: str = "") -> None:
+    """Raise BudgetExceeded when count is over the budget, unless forced."""
+    limit = configured_budget() if budget is None else budget
+    if not force and count > limit:
+        raise BudgetExceeded(f"{what} exceed the budget of {limit}{unit}")
+
+
+def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int = 1) -> Iterator:
+    """Yield fn(*job) for each job, in job order, as each result arrives.
+
+    With workers > 1 the jobs run on a pool of that many processes (fn and
+    the jobs must pickle); otherwise they run in this process.
+    """
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*jobs))
+    else:
+        for job in jobs:
+            yield fn(*job)
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,10 +167,7 @@ def enumerate_polys(b: int, n: int, space: str = ALL_VECTORS) -> Iterator[MaxMin
     if n < 1:
         raise ValueError("n must be >= 1")
     for vec in iter_vectors(b, n, space):
-        end = n
-        while end and vec[end - 1] == 0:
-            end -= 1
-        yield MaxMinPoly(b, vec[:end])
+        yield MaxMinPoly(b, _trim(vec))
 
 
 def check_enumeration(b: int, n: int, space: str, budget: int | None = None, force: bool = False) -> None:
@@ -153,11 +177,7 @@ def check_enumeration(b: int, n: int, space: str, budget: int | None = None, for
         raise ValueError("n must be >= 1")
     if space not in SPACES:
         raise ValueError(f"unknown enumeration space {space!r}")
-    limit = configured_budget() if budget is None else budget
-    if not force and b**n > limit:
-        raise BudgetExceeded(
-            f"{b}^{n} vectors exceed the budget of {limit} classification calls"
-        )
+    _check_budget(b**n, f"{b}^{n} vectors", budget, force, " classification calls")
 
 
 def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusRecord:
@@ -165,17 +185,14 @@ def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusReco
     check_base(b)
     total = monomials = irreducible = reducible = candidates = primes = 0
     for vec in iter_vectors(b, n, space, start, end):
-        end_i = n
-        while end_i and vec[end_i - 1] == 0:
-            end_i -= 1
-        if not end_i:
+        coeffs = _trim(vec)
+        if not coeffs:
             continue
-        coeffs = vec[:end_i]
         total += 1
         # a candidate monomial is the constant b-1, which is prime
         candidate = coeffs[0] != 0 and max(coeffs) == b - 1
         candidates += candidate
-        if end_i - coeffs.count(0) == 1:
+        if len(coeffs) - coeffs.count(0) == 1:
             monomials += 1
             primes += candidate
         elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
@@ -191,12 +208,17 @@ def census(
     n: int,
     space: str = ALL_VECTORS,
     *,
+    workers: int = 1,
     budget: int | None = None,
     force: bool = False,
 ) -> CensusRecord:
-    """Exhaustive classification counts for one (b, n, space)."""
+    """Exhaustive classification counts for one (b, n, space), run as
+    about four shards per worker, or as one shard in-process."""
     check_enumeration(b, n, space, budget, force)
-    return census_range(b, n, space, 0, space_size(b, n, space))
+    size = space_size(b, n, space)
+    shard = max(1, size // (4 * workers)) if workers > 1 else size
+    jobs = [(b, n, space, s, min(s + shard, size)) for s in range(0, size, shard)]
+    return functools.reduce(merge_records, run_shards(census_range, jobs, workers))
 
 
 # -- checkpointed census ------------------------------------------------------
@@ -209,6 +231,7 @@ def census_with_checkpoint(
     path: str | Path,
     *,
     shard_size: int = 1 << 16,
+    workers: int = 1,
     budget: int | None = None,
     force: bool = False,
 ) -> CensusRecord:
@@ -219,6 +242,7 @@ def census_with_checkpoint(
     independent of the shard schedule.  The header records the census, the
     shard size and the package version, and a checkpoint whose header does
     not match is rejected, since shards of another layout would overlap.
+    Pending shards run through `run_shards`, each written as it arrives.
     Each write goes to a temporary file that then replaces the checkpoint,
     so a crash leaves the previous checkpoint intact.
     """
@@ -233,22 +257,16 @@ def census_with_checkpoint(
             raise ValueError(f"checkpoint {path} belongs to a different census, shard size or version")
         shards = state["shards"]
     done = {(s["range_start"], s["range_end"]) for s in shards}
+    jobs = [(b, n, space, s, min(s + shard_size, size)) for s in range(0, size, shard_size)]
+    jobs = [job for job in jobs if job[3:] not in done]
     tmp = Path(f"{path}.tmp")
-    start = 0
-    while start < size:
-        end = min(start + shard_size, size)
-        if (start, end) not in done:
-            partial = census_range(b, n, space, start, end)
-            shards.append(
-                {"range_start": start, "range_end": end, "partial": asdict(partial)}
-            )
+    # closing() shuts the pool down at once if a write fails
+    with contextlib.closing(run_shards(census_range, jobs, workers)) as parts:
+        for partial, (_, _, _, start, end) in zip(parts, jobs):
+            shards.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
             tmp.write_text(json.dumps({**header, "shards": shards}))
             os.replace(tmp, path)
-        start = end
-    merged = CensusRecord(b, n, space, 0, 0, 0, 0, 0, 0)
-    for s in sorted(shards, key=lambda s: s["range_start"]):
-        merged = merge_records(merged, CensusRecord(**s["partial"]))
-    return merged
+    return functools.reduce(merge_records, (CensusRecord(**s["partial"]) for s in shards))
 
 
 # -- closed forms and bounds --------------------------------------------------
@@ -271,6 +289,26 @@ def als_lower_bound(b: int, n: int) -> int:
 def als_lower_bound_check(b: int, n: int, record: CensusRecord) -> bool:
     """True iff the census prime count meets the two-term lower bound."""
     return record.primes >= als_lower_bound(b, n)
+
+
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_bound_terms(b: int, n: int, d: float, v: float) -> tuple[float, float, float, float]:
+    """Natural logs of the normalized bound terms t1..t4 of
+    `stochastic.BoundReport`."""
+    ln_n = math.log(n)
+    ln_2 = math.log(2.0)
+    log_t1 = ln_n - d * d / (4.0 * (n + 1.0))
+    log_t2 = math.log(v) + (2.0 * d + 1.0) * ln_n + v * ln_2 - n * math.log(b)
+    log_t3 = 2.0 * ln_n - v * ln_2
+    log_t4 = (2.0 * d + 3.0) * ln_n + (d / 2.0 - n / 3.0) * ln_2
+    return (log_t1, log_t2, log_t3, log_t4)
 
 
 # -- the seven-way partition of the reducible census ---------------------------
@@ -351,16 +389,21 @@ def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[
 
 
 def _partition_explicit_bounds(b: int, n: int, d: Fraction, v: Fraction, a: int) -> tuple[float, ...]:
+    """The seven class bounds; a bound that overflows a float is inf."""
     df = float(d)
     vf = float(v)
     b13 = 2.0 * math.exp(-(df * df) / (4.0 * n)) * float(b**n)
     b24 = n * math.exp(-(df * df) / (4.0 * (n + 1))) * float(b ** (n + 1))
-    b5 = vf * n ** (2.0 * df + 1.0) * 2.0**vf
+    # b5 and b7 are t2 and t4 times b^n; in log space no factor overflows,
+    # and b6 tends to 0 as v grows
+    _, log_t2, _, log_t4 = _log_bound_terms(b, n, df, vf)
+    ln_b = math.log(b)
+    b5 = _exp_or_inf(log_t2 + n * ln_b)
     if a <= 1:
         b6 = 0.0
     else:
-        b6 = 2.0 * n * (n + 1) * float(a - 1) ** vf * float(b) ** (n - vf + 1.0)
-    b7 = n ** (2.0 * df + 3.0) * 2.0 ** (df / 2.0 - n / 3.0) * float(b**n)
+        b6 = _exp_or_inf(math.log(2.0 * n * (n + 1)) + vf * math.log(a - 1) + (n - vf + 1.0) * ln_b)
+    b7 = _exp_or_inf(log_t4 + n * ln_b)
     return (b13, b24, b13, b24, b5, b6, b7)
 
 
@@ -393,10 +436,7 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
     total = 0
     uncovered = 0
     for vec in iter_vectors(b, n, ALL_VECTORS):
-        end_i = len(vec)
-        while end_i and vec[end_i - 1] == 0:
-            end_i -= 1
-        coeffs = vec[:end_i]
+        coeffs = _trim(vec)
         if not coeffs:
             continue
         total += 1
@@ -456,9 +496,7 @@ def close_pair_count(n: int, k: int, d: int, *, budget: int | None = None, force
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
         raise ValueError("need d >= 0")
-    limit = configured_budget() if budget is None else budget
-    if not force and 2 ** (n - 1) > limit:
-        raise BudgetExceeded(f"2^{n - 1} pairs exceed the budget of {limit}")
+    _check_budget(2 ** (n - 1), f"2^{n - 1} pairs", budget, force)
     count = 0
     f_base = 1 | (1 << k)
     g_base = 1 << (n - k)

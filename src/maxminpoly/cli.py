@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
@@ -105,30 +104,18 @@ def _cmd_divide(args) -> None:
     )
 
 
-def _census_worker(job):
-    b, n, space, start, end = job
-    return census.census_range(b, n, space, start, end)
+def _inf_to_null(values) -> list:
+    """The values as a JSON list, with inf (which JSON cannot hold) as null."""
+    return [None if v == float("inf") else v for v in values]
 
 
 def _cmd_census(args) -> None:
     if args.resume:
         rec = census.census_with_checkpoint(
-            args.b, args.n, args.space, args.resume, force=args.force
+            args.b, args.n, args.space, args.resume, workers=args.threads, force=args.force
         )
-    elif args.threads > 1:
-        census.check_enumeration(args.b, args.n, args.space, force=args.force)
-        size = census.space_size(args.b, args.n, args.space)
-        shard = max(1, size // (4 * args.threads))
-        jobs = [
-            (args.b, args.n, args.space, s, min(s + shard, size))
-            for s in range(0, size, shard)
-        ]
-        rec = census.CensusRecord(args.b, args.n, args.space, 0, 0, 0, 0, 0, 0)
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            for part in pool.map(_census_worker, jobs):
-                rec = census.merge_records(rec, part)
     else:
-        rec = census.census(args.b, args.n, args.space, force=args.force)
+        rec = census.census(args.b, args.n, args.space, workers=args.threads, force=args.force)
     _emit(
         args,
         {"record": rec},
@@ -149,7 +136,7 @@ def _cmd_partition(args) -> None:
             "sizes": list(part.sizes),
             "sigma": part.sigma,
             "total": part.total,
-            "explicit_bounds": list(part.explicit_bounds),
+            "explicit_bounds": _inf_to_null(part.explicit_bounds),
         },
     )
 
@@ -162,7 +149,7 @@ def _cmd_close_pairs(args) -> None:
 
 def _cmd_density(args) -> None:
     config = stochastic.ExperimentConfig(seed=args.seed, trials=args.trials, b=args.b, n=args.n, space=args.space)
-    rep = stochastic.density_experiment(config, exhaustive=args.exhaustive, threads=args.threads)
+    rep = stochastic.density_experiment(config, exhaustive=args.exhaustive, workers=args.threads)
     _emit(args, {"report": rep})
 
 
@@ -188,7 +175,7 @@ def _cmd_bounds(args) -> None:
             "d": rep.d,
             "v": rep.v,
             "log_terms": list(rep.log_terms),
-            "terms": [t if t != float("inf") else None for t in rep.term_values()],
+            "terms": _inf_to_null(rep.term_values()),
         },
     )
 
@@ -389,10 +376,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
-    if getattr(args, "resume", None) and args.threads > 1:
-        parser.error("--resume runs one thread; drop --threads")
-    if getattr(args, "exhaustive", False) and args.threads > 1:
-        parser.error("--exhaustive runs one thread; drop --threads")
     try:
         args.func(args)
     except (MaxMinError, ValueError, OSError) as exc:

@@ -3,7 +3,8 @@
 All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
-scheduled across workers.  Every report records the generator identity.
+scheduled across the workers of `census.run_shards`.  Every report
+records the generator identity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import census as census_mod
 from . import factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
-from .core import MaxMinPoly, check_base
+from .core import MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
 
 GENERATOR_ID = "numpy.PCG64"
@@ -84,13 +85,7 @@ class BoundReport:
 
     def term_values(self) -> tuple[float, float, float, float]:
         """Linear-scale terms; may overflow to inf for large parameters."""
-        out = []
-        for lt in self.log_terms:
-            try:
-                out.append(math.exp(lt))
-            except OverflowError:
-                out.append(math.inf)
-        return tuple(out)
+        return tuple(census_mod._exp_or_inf(lt) for lt in self.log_terms)
 
 
 def _chunk_rngs(seed: int, trials: int) -> Iterator[tuple[np.random.Generator, int]]:
@@ -112,14 +107,7 @@ def sample_stream(config: ExperimentConfig) -> Iterator[MaxMinPoly]:
     """The deterministic stream of sampled polynomials for a config."""
     for rng, size in _chunk_rngs(config.seed, config.trials):
         for row in _draw_digits(rng, size, config).tolist():
-            yield MaxMinPoly(config.b, _trim_row(row))
-
-
-def _trim_row(row: list[int]) -> tuple[int, ...]:
-    end = len(row)
-    while end and row[end - 1] == 0:
-        end -= 1
-    return tuple(row[:end])
+            yield MaxMinPoly(config.b, _trim(row))
 
 
 def sample_poly(config: ExperimentConfig) -> MaxMinPoly:
@@ -168,18 +156,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (lo, hi)
 
 
-def _density_chunk(job: tuple[np.random.Generator, int, ExperimentConfig]) -> int:
+def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> int:
     """Irreducible draws in one seed-derived trial chunk (order-free)."""
-    rng, size, config = job
     hits = 0
     for row in _draw_digits(rng, size, config).tolist():
-        coeffs = _trim_row(row)
+        coeffs = _trim(row)
         if coeffs and factor._classify_generic(config.b, coeffs)[0] == factor.IRREDUCIBLE:
             hits += 1
     return hits
 
 
-def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, threads: int = 1) -> DensityReport:
+def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:
     """Fraction of irreducible draws with a 95% Wilson confidence interval.
 
     With exhaustive=True the full space is enumerated instead of sampled,
@@ -189,18 +176,12 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, th
     """
     b, n = config.b, config.n
     if exhaustive:
-        rec = census_mod.census(b, n, config.space)
+        rec = census_mod.census(b, n, config.space, workers=workers)
         frac = rec.irreducible_fraction()
         lo, hi = wilson_interval(rec.irreducible, rec.total)
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
     jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(_density_chunk, jobs))
-    else:
-        hits = sum(_density_chunk(job) for job in jobs)
+    hits = sum(census_mod.run_shards(_density_chunk, jobs, workers))
     lo, hi = wilson_interval(hits, config.trials)
     return DensityReport(hits / config.trials, lo, hi, config.trials, hits, False)
 
@@ -221,10 +202,4 @@ def bound_terms(b: int, n: int, params: BoundParams) -> BoundReport:
         raise ValueError("n must be >= 1")
     d = float(params.d)
     v = float(params.v)
-    ln_n = math.log(n)
-    ln_2 = math.log(2.0)
-    log_t1 = ln_n - d * d / (4.0 * (n + 1.0))
-    log_t2 = math.log(v) + (2.0 * d + 1.0) * ln_n + v * ln_2 - n * math.log(b)
-    log_t3 = 2.0 * ln_n - v * ln_2
-    log_t4 = (2.0 * d + 3.0) * ln_n + (d / 2.0 - n / 3.0) * ln_2
-    return BoundReport(b, n, d, v, (log_t1, log_t2, log_t3, log_t4))
+    return BoundReport(b, n, d, v, census_mod._log_bound_terms(b, n, d, v))

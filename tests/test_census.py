@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -104,15 +105,25 @@ def test_merge_records_matches_full_run():
     assert merged == full
 
 
-def test_checkpoint_resume(tmp_path):
+@pytest.mark.parametrize("workers", (1, 2))
+def test_run_shards_keeps_job_order(workers):
+    # the first shard is the largest, so with two workers it finishes last
+    jobs = [(2, 12, census.ALL_VECTORS, s, e) for s, e in ((0, 3000), (3000, 3010), (3010, 3100), (3100, 3101))]
+    parts = list(census.run_shards(census.census_range, jobs, workers))
+    assert parts == [census.census_range(*job) for job in jobs]
+    assert list(census.run_shards(census.census_range, [], workers)) == []
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_checkpoint_resume(tmp_path, workers):
     path = tmp_path / "census.json"
-    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
     assert rec == census.census(2, 8)
     # drop a shard and resume
     state = json.loads(path.read_text())
     dropped = state["shards"].pop(2)
     path.write_text(json.dumps(state))
-    rec2 = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    rec2 = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
     assert rec2 == rec
     state = json.loads(path.read_text())
     assert {(s["range_start"], s["range_end"]) for s in state["shards"]} >= {
@@ -140,9 +151,10 @@ def test_checkpoint_rejects_other_shard_size(tmp_path):
         census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=100)
 
 
-def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", (1, 2))
+def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, workers):
     path = tmp_path / "census.json"
-    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
     state = json.loads(path.read_text())
     del state["shards"][3:]
     before = json.dumps(state)
@@ -153,10 +165,10 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch):
 
     monkeypatch.setattr(census.os, "replace", crash)
     with pytest.raises(OSError):
-        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
     assert path.read_text() == before
     monkeypatch.undo()
-    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50)
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
     assert rec == census.census(2, 8)
     assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
 
@@ -285,6 +297,12 @@ def test_partition_e6_empty_below_base4():
     part = census.partition_census(3, 6, census.BoundParams.make(2, 2))
     assert part.sizes[5] == 0
     assert part.explicit_bounds[5] == 0.0
+
+
+def test_partition_bounds_survive_large_parameters():
+    # 2^v overflows b5, while b6 = 2n(n+1) (a-1)^v b^(n-v+1) tends to 0
+    bounds = census._partition_explicit_bounds(10, 3, Fraction(2), Fraction(2000), 5)
+    assert bounds[4] == math.inf and bounds[5] == 0.0 and math.isfinite(bounds[6])
 
 
 def test_partition_e6_present_at_base4():

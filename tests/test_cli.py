@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maxminpoly import cli, core, factor, series
+from maxminpoly import census, cli, core, factor, series
 
 
 def run(capsys, *argv):
@@ -127,19 +127,53 @@ def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, caps
     assert not (tmp_path / "ck.json").exists()
 
 
-def test_census_resume_rejects_threads(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["census", "--b", "2", "--n", "9", "--resume", str(tmp_path / "ck.json"), "--threads", "2"])
-    assert exc.value.code == 2
+def test_census_resume_honours_threads(tmp_path, capsys):
+    argv = ["census", "--b", "2", "--n", "9", "--format", "csv", "--resume"]
+    code1, one = run(capsys, *argv, str(tmp_path / "one.json"))
+    code2, two = run(capsys, *argv, str(tmp_path / "two.json"), "--threads", "2")
+    assert code1 == code2 == 0 and one == two
+    assert (tmp_path / "one.json").read_text() == (tmp_path / "two.json").read_text()
 
 
-def test_density_exhaustive_rejects_threads(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["density", "--b", "2", "--n", "4", "--trials", "8", "--seed", "1", "--exhaustive", "--threads", "2"])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
-    assert captured.err.strip().splitlines()[-1].endswith("--exhaustive runs one thread; drop --threads")
-    assert cli.main(["density", "--b", "2", "--n", "4", "--trials", "8", "--seed", "1", "--exhaustive", "--threads", "1"]) == 0
+def test_density_exhaustive_honours_threads(capsys):
+    argv = ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"]
+    one = run_json(capsys, *argv)
+    two = run_json(capsys, *argv, "--threads", "2")
+    assert one["report"] == two["report"]
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["census", "--b", "2", "--n", "6"],
+        ["census", "--b", "2", "--n", "6", "--resume", "ck.json"],
+        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1"],
+        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"],
+    ),
+)
+def test_threaded_runs_build_one_pool(argv, threads, tmp_path, monkeypatch, capsys):
+    built = []
+
+    class RecordingPool:
+        """Records each construction and runs the jobs in-process."""
+
+        def __init__(self, *args, **kwargs):
+            built.append((args, kwargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    run_json(capsys, *argv, "--threads", str(threads))
+    assert built == ([((), {"max_workers": 2})] if threads == 2 else [])
 
 
 @pytest.mark.parametrize("command", ("census", "density"))
@@ -159,6 +193,12 @@ def test_partition(capsys):
     rep = run_json(capsys, "partition", "--b", "2", "--n", "6", "--d", "2", "--v", "2")
     assert sum(rep["sizes"]) >= rep["sigma"]
     assert len(rep["explicit_bounds"]) == 7
+
+
+@pytest.mark.parametrize("d, v", (("2", "2000"), ("400", "2")))
+def test_partition_overflowing_bound_is_null(d, v, capsys):
+    rep = run_json(capsys, "partition", "--b", "2", "--n", "4", "--d", d, "--v", v)
+    assert len(rep["explicit_bounds"]) == 7 and rep["explicit_bounds"][4] is None
 
 
 def test_close_pairs(capsys):
