@@ -13,9 +13,11 @@ partition census splits the same space into seven deviation classes keyed
 on support sizes and factorization shapes, evaluating the explicit tail
 bound attached to each class; enumeration order is lexicographic on the
 coefficient vectors, so shard ranges are well-defined and resumable.
-`run_shards` runs the shards of the census, the checkpointed census and
-the density sampler; the partition runs unsharded, as every worker would
-rebuild its table of factor pairs.
+`_jobs` is the one shard plan of the census and the checkpointed census:
+SHARDS ranges fixed by (b, n, space) alone, so a checkpoint resumes at
+any worker count.  `run_shards` runs those shards and the density
+sampler's chunks, and `_tally` counts both; the partition runs
+unsharded, as every worker would rebuild its table of factor pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__, factor
 from .core import MaxMinPoly, _pack, _terms, _times, _trim, _unpack, check_base
@@ -42,18 +44,13 @@ SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "MINMAX_BUDGET"
+SHARDS = 16
 
 
-def configured_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    return int(raw)
-
-
-def _check_budget(count: int, what: str, budget: int | None, force: bool, unit: str = "") -> None:
-    """Raise BudgetExceeded when count is over the budget, unless forced."""
-    limit = configured_budget() if budget is None else budget
+def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
+    """Raise BudgetExceeded when count is over the MINMAX_BUDGET budget,
+    unless forced."""
+    limit = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
     if not force and count > limit:
         raise BudgetExceeded(f"{what} exceed the budget of {limit}{unit}")
 
@@ -61,9 +58,11 @@ def _check_budget(count: int, what: str, budget: int | None, force: bool, unit: 
 def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int = 1) -> Iterator:
     """Yield fn(*job) for each job, in job order, as each result arrives.
 
-    With workers > 1 the jobs run on a pool of that many processes (fn and
-    the jobs must pickle); otherwise they run in this process.
+    With more than one worker and more than one job the jobs run on a pool
+    of min(workers, len(jobs)) processes (fn and the jobs must pickle);
+    otherwise they run in this process.
     """
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *zip(*jobs))
@@ -170,21 +169,35 @@ def enumerate_polys(b: int, n: int, space: str = ALL_VECTORS) -> Iterator[MaxMin
         yield MaxMinPoly(b, _trim(vec))
 
 
-def check_enumeration(b: int, n: int, space: str, budget: int | None = None, force: bool = False) -> None:
+def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
     """Reject a bad base, n < 1, an unknown space or b^n over the budget."""
     check_base(b)
     if n < 1:
         raise ValueError("n must be >= 1")
     if space not in SPACES:
         raise ValueError(f"unknown enumeration space {space!r}")
-    _check_budget(b**n, f"{b}^{n} vectors", budget, force, " classification calls")
+    _check_budget(b**n, f"{b}^{n} vectors", force, " classification calls")
+
+
+def _jobs(b: int, n: int, space: str) -> list[tuple[int, int, str, int, int]]:
+    """The census shard plan: at most SHARDS lexicographic ranges of
+    ceil(size / SHARDS) vectors each, the last one possibly shorter."""
+    size = space_size(b, n, space)
+    step = -(-size // SHARDS)
+    return [(b, n, space, s, min(s + step, size)) for s in range(0, size, step)]
 
 
 def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusRecord:
     """Classify every vector in a lexicographic index range."""
     check_base(b)
+    return _tally(b, n, space, iter_vectors(b, n, space, start, end))
+
+
+def _tally(b: int, n: int, space: str, vectors: Iterable[Sequence[int]]) -> CensusRecord:
+    """Census counts over length-n coefficient vectors; zero vectors are
+    skipped."""
     total = monomials = irreducible = reducible = candidates = primes = 0
-    for vec in iter_vectors(b, n, space, start, end):
+    for vec in vectors:
         coeffs = _trim(vec)
         if not coeffs:
             continue
@@ -203,61 +216,44 @@ def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusReco
     return CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
 
 
-def census(
-    b: int,
-    n: int,
-    space: str = ALL_VECTORS,
-    *,
-    workers: int = 1,
-    budget: int | None = None,
-    force: bool = False,
-) -> CensusRecord:
-    """Exhaustive classification counts for one (b, n, space), run as
-    about four shards per worker, or as one shard in-process."""
-    check_enumeration(b, n, space, budget, force)
-    size = space_size(b, n, space)
-    shard = max(1, size // (4 * workers)) if workers > 1 else size
-    jobs = [(b, n, space, s, min(s + shard, size)) for s in range(0, size, shard)]
-    return functools.reduce(merge_records, run_shards(census_range, jobs, workers))
+def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force: bool = False) -> CensusRecord:
+    """Exhaustive classification counts for one (b, n, space), run as the
+    shards of `_jobs` on up to `workers` processes."""
+    check_enumeration(b, n, space, force)
+    return functools.reduce(merge_records, run_shards(census_range, _jobs(b, n, space), workers))
 
 
 # -- checkpointed census ------------------------------------------------------
 
 
 def census_with_checkpoint(
-    b: int,
-    n: int,
-    space: str,
-    path: str | Path,
-    *,
-    shard_size: int = 1 << 16,
-    workers: int = 1,
-    budget: int | None = None,
-    force: bool = False,
+    b: int, n: int, space: str, path: str | Path, *, workers: int = 1, force: bool = False
 ) -> CensusRecord:
-    """Run a census in lexicographic shards, persisting partials to JSON.
+    """Run the shards of `_jobs`, persisting partials to JSON.
 
-    An interrupted run resumes from the shards already on disk; completed
-    shards are merged by the associative record addition, so the result is
-    independent of the shard schedule.  The header records the census, the
-    shard size and the package version, and a checkpoint whose header does
-    not match is rejected, since shards of another layout would overlap.
-    Pending shards run through `run_shards`, each written as it arrives.
-    Each write goes to a temporary file that then replaces the checkpoint,
-    so a crash leaves the previous checkpoint intact.
+    An interrupted run resumes from the shards already on disk, at any
+    worker count; completed shards are merged by the associative record
+    addition.  The header records the census, the plan's shard size and
+    the package version, and a checkpoint whose header does not match, or
+    whose shards repeat or are not in the plan, is rejected rather than
+    merged.  Pending shards run through `run_shards`, each written as it
+    arrives.  Each write goes to a temporary file that then replaces the
+    checkpoint, so a crash leaves the previous checkpoint intact.
     """
-    check_enumeration(b, n, space, budget, force)
+    check_enumeration(b, n, space, force)
     path = Path(path)
-    size = space_size(b, n, space)
-    header = {"b": b, "n": n, "space": space, "shard_size": shard_size, "version": __version__}
+    jobs = _jobs(b, n, space)
+    # the first shard starts at 0, so its end is the plan's step
+    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "version": __version__}
     shards: list[dict] = []
     if path.exists():
         state = json.loads(path.read_text())
         if {key: state.get(key) for key in header} != header:
             raise ValueError(f"checkpoint {path} belongs to a different census, shard size or version")
         shards = state["shards"]
-    done = {(s["range_start"], s["range_end"]) for s in shards}
-    jobs = [(b, n, space, s, min(s + shard_size, size)) for s in range(0, size, shard_size)]
+    done = [(s["range_start"], s["range_end"]) for s in shards]
+    if len(set(done)) != len(done) or not {job[3:] for job in jobs}.issuperset(done):
+        raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
     jobs = [job for job in jobs if job[3:] not in done]
     tmp = Path(f"{path}.tmp")
     # closing() shuts the pool down at once if a write fails
@@ -363,8 +359,7 @@ def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[
     a = b // 2
     by_deg: list[list[tuple[int, ...]]] = [[] for _ in range(max_deg + 1)]
     for deg in range(1, max_deg + 1):
-        for idx in range(space_size(b, deg + 1, EXACT_DEGREE)):
-            t = index_to_vector(b, deg + 1, EXACT_DEGREE, idx)
+        for t in iter_vectors(b, deg + 1, EXACT_DEGREE):
             if sum(1 for c in t if c) >= 2:
                 by_deg[deg].append(t)
     # every product has at most max_deg + 1 terms; pack each factor once
@@ -407,7 +402,7 @@ def _partition_explicit_bounds(b: int, n: int, d: Fraction, v: Fraction, a: int)
     return (b13, b24, b13, b24, b5, b6, b7)
 
 
-def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None = None, force: bool = False) -> PartitionCensus:
+def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False) -> PartitionCensus:
     """Assign every nonzero length-n vector to the first applicable of the
     seven deviation classes and evaluate each class's explicit bound.
 
@@ -417,7 +412,7 @@ def partition_census(b: int, n: int, params: BoundParams, *, budget: int | None 
     remaining reducible vectors.  Reducible vectors are all covered by
     construction, which is asserted, not assumed.
     """
-    check_enumeration(b, n, ALL_VECTORS, budget, force)
+    check_enumeration(b, n, ALL_VECTORS, force)
     d, v = params.d, params.v
     a = b // 2
     half_d = d / 2
@@ -489,14 +484,14 @@ def close_pair_bound(n: int, k: int, d: int) -> int:
     return n ** (2 * d + 2) * 2**k
 
 
-def close_pair_count(n: int, k: int, d: int, *, budget: int | None = None, force: bool = False) -> int:
+def close_pair_count(n: int, k: int, d: int, *, force: bool = False) -> int:
     """Count boolean pairs (f, g) with f(0) != 0, deg f = k, deg g = n-k and
     |f*g| <= |f| + |g| + d; asserts the close_pair_bound ceiling."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
         raise ValueError("need d >= 0")
-    _check_budget(2 ** (n - 1), f"2^{n - 1} pairs", budget, force)
+    _check_budget(2 ** (n - 1), f"2^{n - 1} pairs", force)
     count = 0
     f_base = 1 | (1 << k)
     g_base = 1 << (n - k)

@@ -34,13 +34,10 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str] | None = None, csv_lines: list[str] | None = None) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv" and csv_lines is not None:
-        print("\n".join(csv_lines))
-        return
-    if fmt == "text" and text_lines is not None:
-        print("\n".join(text_lines))
+def _emit(args: argparse.Namespace, payload: dict, lines: list[str] | None = None) -> None:
+    """Print the JSON report, or `lines` for the subcommand's other format."""
+    if args.format != "json":
+        print("\n".join(lines))
         return
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "format") and v is not None}
     report = {"version": __version__, "flags": _jsonable(flags)}
@@ -51,10 +48,6 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str] | None 
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
-def _parse_poly_arg(text: str, lenient: bool) -> core.MaxMinPoly:
-    return core.parse_poly(text, lenient=lenient)
-
-
 def _witness_json(w: factor.FactorWitness | None):
     if w is None:
         return None
@@ -62,7 +55,7 @@ def _witness_json(w: factor.FactorWitness | None):
 
 
 def _cmd_classify(args) -> None:
-    poly = _parse_poly_arg(args.poly, args.lenient)
+    poly = core.parse_poly(args.poly, lenient=args.lenient)
     cls = factor.classify_irreducible(poly)
     prime = factor.prime_status(poly, cls)
     _emit(
@@ -74,12 +67,12 @@ def _cmd_classify(args) -> None:
             "prime": prime.kind,
             "prime_reason": prime.reason,
         },
-        text_lines=[f"{core.format_poly(poly)}: {cls.kind}" + (f" = {core.format_poly(cls.witness.g)} * {core.format_poly(cls.witness.h)}" if cls.witness else "")],
+        lines=[f"{core.format_poly(poly)}: {cls.kind}" + (f" = {core.format_poly(cls.witness.g)} * {core.format_poly(cls.witness.h)}" if cls.witness else "")],
     )
 
 
 def _cmd_factor(args) -> None:
-    poly = _parse_poly_arg(args.poly, args.lenient)
+    poly = core.parse_poly(args.poly, lenient=args.lenient)
     cls = factor.classify_irreducible(poly)
     payload = {
         "input": core.format_poly(poly),
@@ -94,13 +87,13 @@ def _cmd_factor(args) -> None:
 
 
 def _cmd_divide(args) -> None:
-    h = _parse_poly_arg(args.h, args.lenient)
-    g = _parse_poly_arg(args.g, args.lenient)
+    h = core.parse_poly(args.h, lenient=args.lenient)
+    g = core.parse_poly(args.g, lenient=args.lenient)
     q = factor.residual_divide(h, g)
     _emit(
         args,
         {"h": core.format_poly(h), "g": core.format_poly(g), "quotient": None if q is None else core.format_poly(q), "divides": q is not None},
-        text_lines=[core.format_poly(q) if q is not None else "not divisible"],
+        lines=[core.format_poly(q) if q is not None else "not divisible"],
     )
 
 
@@ -116,12 +109,7 @@ def _cmd_census(args) -> None:
         )
     else:
         rec = census.census(args.b, args.n, args.space, workers=args.threads, force=args.force)
-    _emit(
-        args,
-        {"record": rec},
-        csv_lines=[census.CSV_HEADER, census.record_to_csv(rec)],
-        text_lines=[census.CSV_HEADER, census.record_to_csv(rec)],
-    )
+    _emit(args, {"record": rec}, lines=[census.CSV_HEADER, census.record_to_csv(rec)])
 
 
 def _cmd_partition(args) -> None:
@@ -194,7 +182,7 @@ def _cmd_t2(args) -> None:
             }
         )
     csv_lines = ["n,lhs,rhs,holds"] + [f"{r['n']},{r['lhs_float']},{r['rhs']},{r['holds']}" for r in rows]
-    _emit(args, {"b": args.b, "ratio": series.t2_ratio(args.b), "rows": rows}, csv_lines=csv_lines)
+    _emit(args, {"b": args.b, "ratio": series.t2_ratio(args.b), "rows": rows}, lines=csv_lines)
 
 
 def _cmd_series_scan(args) -> None:
@@ -214,7 +202,7 @@ def _cmd_series_scan(args) -> None:
             },
         )
     else:
-        g = _parse_poly_arg(args.z_from, args.lenient)
+        g = core.parse_poly(args.z_from, lenient=args.lenient)
         if g.base != stream.base:
             raise MaxMinError("polynomial base must match the stream base")
         k = series.choose_k(stream.base)
@@ -228,7 +216,7 @@ def _cmd_sumset(args) -> None:
     a = core.natset(int(tok) for tok in args.a.split(","))
     b = core.natset(int(tok) for tok in args.b.split(","))
     s = core.sumset(a, b)
-    _emit(args, {"sumset": list(s)}, text_lines=[",".join(str(x) for x in s)])
+    _emit(args, {"sumset": list(s)}, lines=[",".join(str(x) for x in s)])
 
 
 def _cmd_decompose_set(args) -> None:
@@ -248,7 +236,7 @@ def _cmd_decompose_set(args) -> None:
         )
     else:
         text = cls.kind
-    _emit(args, payload, text_lines=[text])
+    _emit(args, payload, lines=[text])
 
 
 @functools.cache
@@ -261,15 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True, lenient=True):
-        if fmt:
-            p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    def common(p, formats=(), lenient=True):
+        # JSON, plus the formats this subcommand prints
+        p.add_argument("--format", choices=("json", *formats), default="json")
         if lenient:
             p.add_argument("--lenient", action="store_true", help="accept non-canonical trailing zeros")
 
     p = sub.add_parser("classify", help="classify a polynomial")
     p.add_argument("poly")
-    common(p)
+    common(p, ("text",))
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("factor", help="classify and optionally list all factorizations")
@@ -282,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divide", help="residual division H / G")
     p.add_argument("h")
     p.add_argument("g")
-    common(p)
+    common(p, ("text",))
     p.set_defaults(func=_cmd_divide)
 
     p = sub.add_parser("census", help="exhaustive classification counts")
@@ -292,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", metavar="FILE", help="checkpoint file to create or resume")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--force", action="store_true", help="override the enumeration budget")
-    common(p, lenient=False)
+    common(p, ("csv",), lenient=False)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("partition", help="seven-way partition census of the reducible vectors")
@@ -345,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("t2", help="interval-count bound table")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    common(p, lenient=False)
+    common(p, ("csv",), lenient=False)
     p.set_defaults(func=_cmd_t2)
 
     p = sub.add_parser("series-scan", help="scan a digit-stream file")
@@ -360,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sumset", help="sumset of two finite sets")
     p.add_argument("a")
     p.add_argument("b")
-    common(p, lenient=False)
+    common(p, ("text",), lenient=False)
     p.set_defaults(func=_cmd_sumset)
 
     p = sub.add_parser("decompose-set", help="decompose a set as a sumset, if possible")
     p.add_argument("set")
-    common(p, lenient=False)
+    common(p, ("text",), lenient=False)
     p.set_defaults(func=_cmd_decompose_set)
 
     return parser

@@ -102,9 +102,6 @@ class FactorWitness:
     g: MaxMinPoly
     h: MaxMinPoly
 
-    def as_pair(self) -> tuple[MaxMinPoly, MaxMinPoly]:
-        return (self.g, self.h)
-
 
 def make_witness(product: MaxMinPoly, a: MaxMinPoly, b: MaxMinPoly) -> FactorWitness:
     """Normalize and validate a factorization of `product` into (a, b)."""

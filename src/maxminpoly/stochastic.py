@@ -3,8 +3,9 @@
 All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
-scheduled across the workers of `census.run_shards`.  Every report
-records the generator identity.
+scheduled across the workers of `census.run_shards`.  Each chunk is
+counted by the census tally, so a draw is classified exactly as a census
+vector is.  Every report records the generator identity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Iterator
 import numpy as np
 
 from . import census as census_mod
-from . import factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
 from .core import MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
@@ -156,14 +156,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (lo, hi)
 
 
-def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> int:
-    """Irreducible draws in one seed-derived trial chunk (order-free)."""
-    hits = 0
-    for row in _draw_digits(rng, size, config).tolist():
-        coeffs = _trim(row)
-        if coeffs and factor._classify_generic(config.b, coeffs)[0] == factor.IRREDUCIBLE:
-            hits += 1
-    return hits
+def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> census_mod.CensusRecord:
+    """Census counts of one seed-derived trial chunk (order-free)."""
+    rows = _draw_digits(rng, size, config).tolist()
+    return census_mod._tally(config.b, config.n, config.space, rows)
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:
@@ -172,7 +168,8 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, wo
     With exhaustive=True the full space is enumerated instead of sampled,
     reproducing the census fraction exactly (trials is ignored).  Trial
     chunks carry seed-derived substreams, so the result is independent of
-    the worker count.
+    the worker count.  Zero draws count as trials, though the census
+    tally skips them.
     """
     b, n = config.b, config.n
     if exhaustive:
@@ -181,7 +178,7 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, wo
         lo, hi = wilson_interval(rec.irreducible, rec.total)
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
     jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
-    hits = sum(census_mod.run_shards(_density_chunk, jobs, workers))
+    hits = sum(rec.irreducible for rec in census_mod.run_shards(_density_chunk, jobs, workers))
     lo, hi = wilson_interval(hits, config.trials)
     return DensityReport(hits / config.trials, lo, hi, config.trials, hits, False)
 

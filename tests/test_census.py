@@ -1,5 +1,6 @@
 """Enumeration spaces, census counts, the partition census and exports."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -87,12 +88,10 @@ def test_census_prime_example(census_cache):
 
 
 def test_budget_guard(monkeypatch):
-    with pytest.raises(BudgetExceeded):
-        census.census(2, 10, budget=100)
-    assert census.census(2, 10, budget=100, force=True).total == 1023
     monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
     with pytest.raises(BudgetExceeded):
         census.census(2, 10)
+    assert census.census(2, 10, force=True).total == 1023
 
 
 def test_merge_records_matches_full_run():
@@ -117,13 +116,13 @@ def test_run_shards_keeps_job_order(workers):
 @pytest.mark.parametrize("workers", (1, 2))
 def test_checkpoint_resume(tmp_path, workers):
     path = tmp_path / "census.json"
-    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec == census.census(2, 8)
     # drop a shard and resume
     state = json.loads(path.read_text())
     dropped = state["shards"].pop(2)
     path.write_text(json.dumps(state))
-    rec2 = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
+    rec2 = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec2 == rec
     state = json.loads(path.read_text())
     assert {(s["range_start"], s["range_end"]) for s in state["shards"]} >= {
@@ -140,21 +139,64 @@ def test_checkpoint_rejects_other_census(tmp_path):
 
 def test_checkpoint_rejects_other_shard_size(tmp_path):
     path = tmp_path / "census.json"
-    rec = census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=100)
+    rec = census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path)
     assert rec.total == 1023
-    with pytest.raises(ValueError):
-        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=64)
     state = json.loads(path.read_text())
+    assert state["shard_size"] == 64
+    state["shard_size"] = 100
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError):
+        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path)
+    state["shard_size"] = 64
     state["version"] = "0.0.0"
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError):
-        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path, shard_size=100)
+        census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path)
+
+
+@pytest.mark.parametrize("b, n, space", ((2, 8, census.ALL_VECTORS), (3, 5, census.EXACT_DEGREE), (2, 2, census.ALL_VECTORS)))
+def test_shard_plan_is_contiguous(b, n, space):
+    jobs = census._jobs(b, n, space)
+    size = census.space_size(b, n, space)
+    step = -(-size // census.SHARDS)
+    assert len(jobs) <= census.SHARDS
+    assert all(job[4] - job[3] == step for job in jobs[:-1])
+    assert [job[:3] for job in jobs] == [(b, n, space)] * len(jobs)
+    assert [job[3] for job in jobs] == [0] + [job[4] for job in jobs[:-1]]
+    assert jobs[-1][4] == size
+
+
+def test_checkpoint_resumes_at_another_worker_count(tmp_path):
+    path = tmp_path / "census.json"
+    census.census_with_checkpoint(2, 14, census.ALL_VECTORS, path)
+    state = json.loads(path.read_text())
+    del state["shards"][5:12]
+    path.write_text(json.dumps(state))
+    rec = census.census_with_checkpoint(2, 14, census.ALL_VECTORS, path, workers=2)
+    assert rec == census.census(2, 14)
+    state = json.loads(path.read_text())
+    assert len(state["shards"]) == census.SHARDS
+
+
+@pytest.mark.parametrize("extra", ("duplicate", "foreign"))
+def test_checkpoint_rejects_repeated_or_foreign_shards(tmp_path, extra):
+    path = tmp_path / "census.json"
+    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path)
+    state = json.loads(path.read_text())
+    if extra == "duplicate":
+        state["shards"].append(state["shards"][0])
+    else:
+        part = census.census_range(2, 8, census.ALL_VECTORS, 0, 7)
+        state["shards"].append({"range_start": 0, "range_end": 7, "partial": dataclasses.asdict(part)})
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="repeated shards or shards outside the plan"):
+        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path)
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, workers):
     path = tmp_path / "census.json"
-    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
+    census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     state = json.loads(path.read_text())
     del state["shards"][3:]
     before = json.dumps(state)
@@ -165,10 +207,10 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, workers):
 
     monkeypatch.setattr(census.os, "replace", crash)
     with pytest.raises(OSError):
-        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
+        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert path.read_text() == before
     monkeypatch.undo()
-    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, shard_size=50, workers=workers)
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec == census.census(2, 8)
     assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
 
@@ -216,13 +258,14 @@ def test_close_pair_count_matches_brute_force():
                 assert census.close_pair_count(n, k, d) == oracle_close_pairs(n, k, d), (n, k, d)
 
 
-def test_close_pair_validation():
+def test_close_pair_validation(monkeypatch):
     with pytest.raises(ValueError):
         census.close_pair_count(4, 0, 1)
     with pytest.raises(ValueError):
         census.close_pair_count(3, 1, -1)
+    monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
     with pytest.raises(BudgetExceeded):
-        census.close_pair_count(30, 3, 1, budget=100)
+        census.close_pair_count(30, 3, 1)
 
 
 # -- partition census ----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Exit codes, output schemas and determinism of the command-line front end."""
 
+import dataclasses
 import json
 
 import pytest
 
-from maxminpoly import census, cli, core, factor, series
+from maxminpoly import __version__, census, cli, core, factor, series
 
 
 def run(capsys, *argv):
@@ -142,24 +143,16 @@ def test_density_exhaustive_honours_threads(capsys):
     assert one["report"] == two["report"]
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-@pytest.mark.parametrize(
-    "argv",
-    (
-        ["census", "--b", "2", "--n", "6"],
-        ["census", "--b", "2", "--n", "6", "--resume", "ck.json"],
-        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1"],
-        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"],
-    ),
-)
-def test_threaded_runs_build_one_pool(argv, threads, tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def pools(tmp_path, monkeypatch):
+    """The keyword arguments of each process pool built, with the pool
+    replaced by one that runs the jobs in-process."""
     built = []
 
     class RecordingPool:
-        """Records each construction and runs the jobs in-process."""
-
         def __init__(self, *args, **kwargs):
-            built.append((args, kwargs))
+            assert not args
+            built.append(kwargs)
 
         def __enter__(self):
             return self
@@ -172,8 +165,73 @@ def test_threaded_runs_build_one_pool(argv, threads, tmp_path, monkeypatch, caps
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    return built
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["census", "--b", "2", "--n", "6"],
+        ["census", "--b", "2", "--n", "6", "--resume", "ck.json"],
+        ["density", "--b", "2", "--n", "6", "--trials", "4096", "--seed", "1"],
+        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"],
+    ),
+)
+def test_threaded_runs_build_one_pool(argv, threads, pools, capsys):
     run_json(capsys, *argv, "--threads", str(threads))
-    assert built == ([((), {"max_workers": 2})] if threads == 2 else [])
+    assert pools == ([{"max_workers": 2}] if threads == 2 else [])
+
+
+def test_pool_is_no_larger_than_the_job_list(pools, capsys):
+    # b=2 n=2 is four one-vector shards; one 2048-draw chunk runs in-process
+    run_json(capsys, "census", "--b", "2", "--n", "2", "--threads", "64")
+    run_json(capsys, "density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--threads", "2")
+    assert pools == [{"max_workers": 4}]
+
+
+def test_resume_with_threads_writes_the_shard_plan(pools, tmp_path, capsys):
+    rep = run_json(capsys, "census", "--b", "2", "--n", "14", "--resume", "ck.json", "--threads", "2")
+    assert pools == [{"max_workers": 2}]
+    assert rep["record"] == dataclasses.asdict(census.census(2, 14))
+    state = json.loads((tmp_path / "ck.json").read_text())
+    assert state["shard_size"] == 2**14 // 16
+    ranges = [(s["range_start"], s["range_end"]) for s in state["shards"]]
+    assert ranges == [(k * 1024, (k + 1) * 1024) for k in range(16)]
+
+
+def test_resume_rejects_an_older_shard_layout(tmp_path, capsys):
+    # the header a fixed 2^16-vector shard size wrote at b=2 n=14
+    path = tmp_path / "ck.json"
+    header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 65536, "version": __version__}
+    part = census.census_range(2, 14, census.ALL_VECTORS, 0, 2**14)
+    path.write_text(json.dumps({**header, "shards": [{"range_start": 0, "range_end": 2**14, "partial": dataclasses.asdict(part)}]}))
+    code = cli.main(["census", "--b", "2", "--n", "14", "--resume", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("ValueError: ") and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["classify", "2:1,1,1", "--format", "csv"],
+        ["factor", "2:1,1,1", "--format", "text"],
+        ["divide", "2:1,1", "2:1", "--format", "csv"],
+        ["census", "--b", "2", "--n", "4", "--format", "text"],
+        ["partition", "--b", "2", "--n", "4", "--d", "2", "--v", "2", "--format", "csv"],
+        ["density", "--b", "2", "--n", "4", "--trials", "8", "--seed", "1", "--format", "csv"],
+        ["t2", "--b", "2", "--nmax", "3", "--format", "text"],
+        ["sumset", "0,1", "0,2", "--format", "csv"],
+        ["decompose-set", "0,1", "--format", "csv"],
+    ),
+)
+def test_unsupported_format_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "--format" in captured.err
 
 
 @pytest.mark.parametrize("command", ("census", "density"))
