@@ -8,16 +8,25 @@ Two enumeration conventions are exposed and labeled on every record:
 * ``exact-degree`` restricts to vectors whose leading digit is nonzero,
   i.e. genuine degree n-1 polynomials.
 
-The census classifies every vector through the factorization engine.  The
+The census classifies one vector per orbit of the two symmetries of the
+class: x^t * h has the class of h, and so does the reversal of h when both
+its end digits are nonzero.  Each orbit is counted at its canonical
+representative (`_orbits`) with the orbit's size as weight, so the counts
+are those of every vector while the engine runs once per reversal pair of
+cores (vectors with both end digits nonzero) of length up to n.  The
 partition census splits the same space into seven deviation classes keyed
 on support sizes and factorization shapes, evaluating the explicit tail
 bound attached to each class; enumeration order is lexicographic on the
 coefficient vectors, so shard ranges are well-defined and resumable.
 `_jobs` is the one shard plan of the census and the checkpointed census:
-SHARDS ranges fixed by (b, n, space) alone, so a checkpoint resumes at
-any worker count.  `run_shards` runs those shards and the density
-sampler's chunks, and `_tally` counts both; the partition runs
-unsharded, as every worker would rebuild its table of factor pairs.
+SHARDS ranges of the full space fixed by (b, n, space) alone, so a
+checkpoint resumes at any worker count.  A shard counts the orbits whose
+representative lies in its range, so only the sum over the plan is a
+census, and a checkpoint carries a tally marker: one written when shards
+counted their own vectors is rejected, not merged.  `run_shards` runs
+those shards and the density sampler's chunks, and `_tally` counts both,
+the draws with unit weights; the partition runs unsharded, as every worker
+would rebuild its table of factor pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -176,7 +185,7 @@ def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
         raise ValueError("n must be >= 1")
     if space not in SPACES:
         raise ValueError(f"unknown enumeration space {space!r}")
-    _check_budget(b**n, f"{b}^{n} vectors", force, " classification calls")
+    _check_budget(b**n, f"{b}^{n} vectors", force, " vectors")
 
 
 def _jobs(b: int, n: int, space: str) -> list[tuple[int, int, str, int, int]]:
@@ -188,30 +197,62 @@ def _jobs(b: int, n: int, space: str) -> list[tuple[int, int, str, int, int]]:
 
 
 def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusRecord:
-    """Classify every vector in a lexicographic index range."""
+    """Census counts of the orbits whose representative lies in a
+    lexicographic index range; see `_orbits`."""
     check_base(b)
-    return _tally(b, n, space, iter_vectors(b, n, space, start, end))
+    return _tally(b, n, space, _orbits(b, n, space, start, end))
 
 
-def _tally(b: int, n: int, space: str, vectors: Iterable[Sequence[int]]) -> CensusRecord:
-    """Census counts over length-n coefficient vectors; zero vectors are
-    skipped."""
-    total = monomials = irreducible = reducible = candidates = primes = 0
-    for vec in vectors:
+def _orbits(b: int, n: int, space: str, start: int, end: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The canonical representatives in an index range, each as (trimmed
+    coefficients, class weight, candidate weight).
+
+    A nonzero vector is x^t * c with both ends of c nonzero; its class is
+    that of c, and of c reversed.  The representative of {x^t * c,
+    x^t * c[::-1]} over every t the space admits is the one with
+    c <= c[::-1] and, in the all-vectors space, t = 0, so each orbit has
+    exactly one representative in the index range [0, size).  Its class
+    weight is the orbit's size and its candidate weight |{c, c[::-1]}|:
+    of the orbit, only x^t * c and x^t * c[::-1] at the representative's
+    t can have a nonzero constant term, and `_tally` checks that on the
+    representative.
+    """
+    if not 0 <= start <= end <= space_size(b, n, space):
+        raise ValueError("index range out of bounds")
+    shifts = space == ALL_VECTORS
+    # all-vectors representatives have a nonzero constant term: index >= b^(n-1)
+    lo = b ** (n - 1) if shifts else 0
+    for vec in iter_vectors(b, n, space, max(start, min(end, lo)), end):
         coeffs = _trim(vec)
-        if not coeffs:
-            continue
-        total += 1
+        t = 0
+        while not coeffs[t]:
+            t += 1
+        c = coeffs[t:]
+        rev = c[::-1]
+        if c <= rev:
+            pair = 1 if c == rev else 2
+            yield coeffs, (n - len(c) + 1 if shifts else 1) * pair, pair
+
+
+def _tally(b: int, n: int, space: str, weighted: Iterable[tuple[Sequence[int], int, int]]) -> CensusRecord:
+    """Census counts over (trimmed nonzero coefficients, class weight,
+    candidate weight) triples: each tuple is classified once, its class
+    counted `class weight` times and its candidacy `candidate weight`
+    times.  The census passes orbit representatives, the density sampler
+    its draws with unit weights."""
+    total = monomials = irreducible = reducible = candidates = primes = 0
+    for coeffs, weight, end_weight in weighted:
+        total += weight
         # a candidate monomial is the constant b-1, which is prime
-        candidate = coeffs[0] != 0 and max(coeffs) == b - 1
+        candidate = end_weight if coeffs[0] != 0 and max(coeffs) == b - 1 else 0
         candidates += candidate
         if len(coeffs) - coeffs.count(0) == 1:
-            monomials += 1
+            monomials += weight
             primes += candidate
         elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
-            reducible += 1
+            reducible += weight
         else:
-            irreducible += 1
+            irreducible += weight
             primes += candidate
     return CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
 
@@ -233,36 +274,65 @@ def census_with_checkpoint(
 
     An interrupted run resumes from the shards already on disk, at any
     worker count; completed shards are merged by the associative record
-    addition.  The header records the census, the plan's shard size and
-    the package version, and a checkpoint whose header does not match, or
-    whose shards repeat or are not in the plan, is rejected rather than
-    merged.  Pending shards run through `run_shards`, each written as it
-    arrives.  Each write goes to a temporary file that then replaces the
-    checkpoint, so a crash leaves the previous checkpoint intact.
+    addition.  A shard's partial counts the orbits of `_orbits` whose
+    representative lies in its range, which only sums to the census over
+    the whole plan.  The header records the census, the plan's shard size,
+    that tally and the package version, and a checkpoint whose header does
+    not match (one written before the orbit tally among them), whose shards
+    repeat, are not in the plan or are malformed, or whose counts do not
+    add up to the space, is rejected rather than merged.  Pending shards
+    run through `run_shards`, each written as it arrives.  Each write goes
+    to a temporary file that then replaces the checkpoint, so a crash
+    leaves the previous checkpoint intact.
     """
     check_enumeration(b, n, space, force)
     path = Path(path)
     jobs = _jobs(b, n, space)
     # the first shard starts at 0, so its end is the plan's step
-    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "version": __version__}
-    shards: list[dict] = []
+    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "tally": "orbits", "version": __version__}
+    entries: list = []
     if path.exists():
         state = json.loads(path.read_text())
-        if {key: state.get(key) for key in header} != header:
-            raise ValueError(f"checkpoint {path} belongs to a different census, shard size or version")
-        shards = state["shards"]
-    done = [(s["range_start"], s["range_end"]) for s in shards]
-    if len(set(done)) != len(done) or not {job[3:] for job in jobs}.issuperset(done):
+        if not isinstance(state, dict) or {key: state.get(key) for key in header} != header:
+            raise ValueError(f"checkpoint {path} belongs to a different census, shard size, tally or version")
+        entries = state.get("shards")
+        if not isinstance(entries, list):
+            raise ValueError(f"checkpoint {path} has no list of shards")
+    shards = dict(_read_shard(path, (b, n, space), entry) for entry in entries)
+    if len(shards) != len(entries) or not {job[3:] for job in jobs}.issuperset(shards):
         raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
-    jobs = [job for job in jobs if job[3:] not in done]
+    jobs = [job for job in jobs if job[3:] not in shards]
     tmp = Path(f"{path}.tmp")
     # closing() shuts the pool down at once if a write fails
     with contextlib.closing(run_shards(census_range, jobs, workers)) as parts:
         for partial, (_, _, _, start, end) in zip(parts, jobs):
-            shards.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
-            tmp.write_text(json.dumps({**header, "shards": shards}))
+            shards[start, end] = partial
+            entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
+            tmp.write_text(json.dumps({**header, "shards": entries}))
             os.replace(tmp, path)
-    return functools.reduce(merge_records, (CensusRecord(**s["partial"]) for s in shards))
+    rec = functools.reduce(merge_records, shards.values())
+    nonzero = space_size(b, n, space) - (space == ALL_VECTORS)
+    if rec.total != nonzero:
+        raise ValueError(f"checkpoint {path} counts {rec.total} nonzero vectors where the space has {nonzero}")
+    return rec
+
+
+def _read_shard(path: Path, key: tuple[int, int, str], entry) -> tuple[tuple[int, int], CensusRecord]:
+    """One checkpoint shard entry of the census (b, n, space) as
+    ((range_start, range_end), partial), or a one-line ValueError."""
+    malformed = ValueError(f"checkpoint {path} holds a shard that is not an integer range with partial counts of this census")
+    try:
+        span = (entry["range_start"], entry["range_end"])
+        partial = CensusRecord(**entry["partial"])
+    except (KeyError, TypeError):
+        raise malformed from None
+    fields = astuple(partial)
+    if fields[:3] != key or any(type(v) is not int or v < 0 for v in span + fields[3:]):
+        raise malformed
+    # monomials + irreducible + reducible
+    if sum(fields[4:7]) != partial.total:
+        raise ValueError(f"checkpoint {path} holds a shard whose classes do not add up to its total")
+    return span, partial
 
 
 # -- closed forms and bounds --------------------------------------------------

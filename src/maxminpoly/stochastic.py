@@ -159,7 +159,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> census_mod.CensusRecord:
     """Census counts of one seed-derived trial chunk (order-free)."""
     rows = _draw_digits(rng, size, config).tolist()
-    return census_mod._tally(config.b, config.n, config.space, rows)
+    draws = ((coeffs, 1, 1) for coeffs in map(_trim, rows) if coeffs)
+    return census_mod._tally(config.b, config.n, config.space, draws)
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:

@@ -1,8 +1,10 @@
 """Enumeration spaces, census counts, the partition census and exports."""
 
 import dataclasses
+import functools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -89,7 +91,7 @@ def test_census_prime_example(census_cache):
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="2\\^10 vectors exceed the budget of 100 vectors"):
         census.census(2, 10)
     assert census.census(2, 10, force=True).total == 1023
 
@@ -102,6 +104,98 @@ def test_merge_records_matches_full_run():
         part = census.census_range(3, 4, census.ALL_VECTORS, start, min(start + 17, size))
         merged = census.merge_records(merged, part)
     assert merged == full
+
+
+# -- orbit counting against a per-vector tally -------------------------------------
+
+# the largest n per base of the differential tests
+SIZES = {2: 12, 3: 7, 4: 5, 5: 4, 10: 3}
+
+
+def _per_vector_record(b, n, space, vectors):
+    """The census written out: one engine call per nonzero vector."""
+    kinds = {factor.MONOMIAL: 0, factor.IRREDUCIBLE: 0, factor.REDUCIBLE: 0}
+    candidates = primes = 0
+    for vec in vectors:
+        coeffs = _trim(vec)
+        if not coeffs:
+            continue
+        kind = factor._classify_generic(b, coeffs)[0]
+        kinds[kind] += 1
+        candidate = coeffs[0] != 0 and max(coeffs) == b - 1
+        candidates += candidate
+        primes += candidate and kind != factor.REDUCIBLE
+    total = sum(kinds.values())
+    return census.CensusRecord(
+        b, n, space, total, kinds[factor.MONOMIAL], kinds[factor.IRREDUCIBLE], kinds[factor.REDUCIBLE], candidates, primes
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_reducible(b):
+    return oracle_reducible(b, SIZES[b] - 1)
+
+
+@pytest.mark.parametrize("space", census.SPACES)
+@pytest.mark.parametrize("b, n", [(b, n) for b, top in SIZES.items() for n in range(1, top + 1)])
+def test_census_matches_per_vector_tally(b, n, space):
+    rec = census.census(b, n, space)
+    assert rec == _per_vector_record(b, n, space, census.iter_vectors(b, n, space))
+    reducible = _oracle_reducible(b)
+    assert rec.reducible == sum(1 for vec in census.iter_vectors(b, n, space) if _trim(vec) in reducible)
+
+
+def _orbit_key(vec):
+    """The core of a nonzero vector (its digits between the first and the
+    last nonzero one) up to reversal."""
+    rev = _trim(_trim(vec)[::-1])
+    return min(rev, rev[::-1])
+
+
+@pytest.mark.parametrize("space", census.SPACES)
+@pytest.mark.parametrize("b, n", ((2, 7), (3, 4), (4, 3), (10, 3)))
+def test_each_orbit_is_counted_once_at_its_representative(b, n, space):
+    # group the per-vector tally by orbit: in the all-vectors space an orbit
+    # is every shift of a core and of its reversal, in the exact-degree
+    # space the one shift that reaches the leading digit
+    orbits = {}
+    for vec in census.iter_vectors(b, n, space):
+        if any(vec):
+            orbits.setdefault(_orbit_key(vec), []).append(vec)
+    counted = set()
+    palindromes = 0
+    for idx, vec in enumerate(census.iter_vectors(b, n, space)):
+        part = census.census_range(b, n, space, idx, idx + 1)
+        if part.total == 0:
+            assert part == census.CensusRecord(b, n, space, 0, 0, 0, 0, 0, 0)
+            continue
+        key = _orbit_key(vec)
+        assert key not in counted
+        counted.add(key)
+        palindromes += key == key[::-1] and len(key) > 1
+        assert part == _per_vector_record(b, n, space, orbits[key])
+    assert counted == set(orbits)
+    assert palindromes > 0
+
+
+@pytest.mark.parametrize("b", (3, 4, 10))
+def test_class_is_invariant_under_reversal(b):
+    rng = random.Random(b)
+
+    def end_nonzero_core(length):
+        return (rng.randrange(1, b),) + tuple(rng.randrange(b) for _ in range(length - 2)) + (rng.randrange(1, b),)
+
+    kinds = set()
+    for k in range(300):
+        if k % 2:
+            h = end_nonzero_core(rng.randrange(2, 13))
+        else:
+            # products of two cores, most of them reducible
+            h = core.mul_coeffs(end_nonzero_core(rng.randrange(2, 6)), end_nonzero_core(rng.randrange(2, 7)))
+        kind = factor._classify_generic(b, h)[0]
+        assert kind == factor._classify_generic(b, h[::-1])[0], h
+        kinds.add(kind)
+    assert kinds == {factor.IRREDUCIBLE, factor.REDUCIBLE}
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -213,6 +307,97 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, workers):
     rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec == census.census(2, 8)
     assert [p.name for p in tmp_path.iterdir()] == ["census.json"]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_shards_without_representatives_survive_an_interruption(tmp_path, monkeypatch, workers):
+    # at b=2 n=8 the first 8 of the 16 shards lie below 2^7: every vector
+    # there has a zero constant term, so their partials are empty
+    path = tmp_path / "census.json"
+    replace = census.os.replace
+    writes = []
+
+    def interrupted(src, dst):
+        if len(writes) == 3:
+            raise OSError("interrupted")
+        writes.append(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(census.os, "replace", interrupted)
+    with pytest.raises(OSError):
+        census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
+    monkeypatch.undo()
+    state = json.loads(path.read_text())
+    assert state["tally"] == "orbits"
+    assert [s["range_end"] for s in state["shards"]] == [16, 32, 48]
+    assert all(s["partial"]["total"] == 0 for s in state["shards"])
+    rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
+    assert rec == census.census(2, 8)
+    state = json.loads(path.read_text())
+    ranges = sorted((s["range_start"], s["range_end"]) for s in state["shards"])
+    assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]] and ranges[-1][1] == 2**8
+    assert sum(s["partial"]["total"] == 0 for s in state["shards"]) == 8
+
+
+def _checkpoint(tmp_path):
+    path = tmp_path / "census.json"
+    census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    (
+        lambda shards: shards[-1].pop("range_end"),
+        lambda shards: shards[-1].pop("partial"),
+        lambda shards: shards[-1].update(range_start="60"),
+        lambda shards: shards[-1].update(range_end=None),
+        lambda shards: shards[-1].update(partial=[1, 2]),
+        lambda shards: shards[-1]["partial"].pop("primes"),
+        lambda shards: shards[-1]["partial"].update(extra=1),
+        lambda shards: shards[-1]["partial"].update(irreducible=1.5),
+        lambda shards: shards[-1]["partial"].update(irreducible=-1),
+        lambda shards: shards[-1]["partial"].update(b=3),
+        lambda shards: shards.append(7),
+    ),
+)
+def test_checkpoint_rejects_malformed_shards(tmp_path, tamper):
+    path, state = _checkpoint(tmp_path)
+    tamper(state["shards"])
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="holds a shard that is not an integer range with partial counts of this census"):
+        census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+
+
+def test_checkpoint_rejects_counts_that_do_not_add_up(tmp_path):
+    path, state = _checkpoint(tmp_path)
+    partial = state["shards"][-1]["partial"]
+    partial["total"] = 999
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="classes do not add up"):
+        census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+    # consistent within the shard, but not the space's 63 nonzero vectors
+    partial["irreducible"] += 999 - (partial["monomials"] + partial["irreducible"] + partial["reducible"])
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="nonzero vectors where the space has 63"):
+        census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+    for shape in ([], {"b": 2}, {**state, "shards": {}}):
+        path.write_text(json.dumps(shape))
+        with pytest.raises(ValueError):
+            census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+
+
+def test_checkpoint_rejects_a_per_vector_tally(tmp_path):
+    # the layout written when each shard classified its own vectors: the
+    # same ranges and partials, no tally marker
+    path, state = _checkpoint(tmp_path)
+    del state["tally"]
+    for entry in state["shards"]:
+        vectors = census.iter_vectors(2, 6, census.ALL_VECTORS, entry["range_start"], entry["range_end"])
+        entry["partial"] = dataclasses.asdict(_per_vector_record(2, 6, census.ALL_VECTORS, vectors))
+    path.write_text(json.dumps(state))
+    with pytest.raises(ValueError, match="different census, shard size, tally or version"):
+        census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
 
 
 # -- closed forms -----------------------------------------------------------------

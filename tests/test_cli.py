@@ -212,6 +212,42 @@ def test_resume_rejects_an_older_shard_layout(tmp_path, capsys):
     assert captured.err.startswith("ValueError: ") and len(captured.err.strip().splitlines()) == 1
 
 
+def _resume_fails_in_one_line(capsys, path, n):
+    code = cli.main(["census", "--b", "2", "--n", str(n), "--resume", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("ValueError: ") and len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+def test_resume_rejects_a_per_vector_checkpoint(tmp_path, capsys):
+    # the header and partials written when each shard counted its own
+    # vectors: the same shard plan, no tally marker
+    path = tmp_path / "ck.json"
+    header = {"b": 2, "n": 8, "space": census.ALL_VECTORS, "shard_size": 16, "version": __version__}
+    shards = []
+    for start in range(0, 2**8, 16):
+        vectors = map(core._trim, census.iter_vectors(2, 8, census.ALL_VECTORS, start, start + 16))
+        part = census._tally(2, 8, census.ALL_VECTORS, ((c, 1, 1) for c in vectors if c))
+        shards.append({"range_start": start, "range_end": start + 16, "partial": dataclasses.asdict(part)})
+    assert sum(s["partial"]["total"] for s in shards) == 2**8 - 1
+    path.write_text(json.dumps({**header, "shards": shards}))
+    assert "tally" in _resume_fails_in_one_line(capsys, path, 8)
+
+
+@pytest.mark.parametrize("tamper", ("range_end", "total"))
+def test_resume_rejects_a_tampered_shard(tmp_path, capsys, tamper):
+    path = tmp_path / "ck.json"
+    run_json(capsys, "census", "--b", "2", "--n", "6", "--resume", str(path))
+    state = json.loads(path.read_text())
+    if tamper == "range_end":
+        del state["shards"][3]["range_end"]
+    else:
+        state["shards"][3]["partial"]["total"] = 999
+    path.write_text(json.dumps(state))
+    _resume_fails_in_one_line(capsys, path, 6)
+
+
 @pytest.mark.parametrize(
     "argv",
     (

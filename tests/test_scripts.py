@@ -1,5 +1,6 @@
 """The experiment scripts run end to end on tiny arguments and print CSV or table rows."""
 
+import json
 import os
 import re
 import subprocess
@@ -61,3 +62,19 @@ def test_frontier_prints_table_rows():
         "| 2 | 6 | not run |",
         "Frontier (largest n under 0.001 s): b=2: none",
     ]
+
+
+def test_census_ab_alternates_two_trees():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "census_ab.py"), "--parent", str(ROOT), "--rounds", "2", "--cells", "2:6"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [(c["b"], c["n"], c["space"]) for c in report["cells"]] == [(2, 6, "all-vectors"), (2, 6, "exact-degree")]
+    for cell in report["cells"]:
+        assert cell["same_record"] is True
+        assert [len(cell[side]["seconds"]) for side in ("parent", "change")] == [2, 2]
+    # stderr logs one line per run, the sides alternating first
+    sides = [line.split()[2] for line in proc.stderr.splitlines()]
+    assert sides[:4] == ["parent", "change", "change", "parent"]
