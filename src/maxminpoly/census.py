@@ -25,8 +25,15 @@ representative lies in its range, so only the sum over the plan is a
 census, and a checkpoint carries a tally marker: one written when shards
 counted their own vectors is rejected, not merged.  `run_shards` runs
 those shards and the density sampler's chunks, and `_tally` counts both,
-the draws with unit weights; the partition runs unsharded, as every worker
-would rebuild its table of factor pairs.
+the draws with unit weights.
+
+The two exhaustive pair enumerations, the partition census and the
+close-pair count, run on core's block product (`_times_block`): one
+second factor multiplies a block of up to BLOCK_ROWS first factors, each
+a row of uint64 plane words, in a few numpy steps, so no Python code runs
+per factor pair or per vector.  The partition runs unsharded: it marks
+per-vector flags, b^n booleans for each of five conditions, which every
+worker would have to hold whole.
 """
 
 from __future__ import annotations
@@ -42,8 +49,10 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from . import __version__, factor
-from .core import MaxMinPoly, _pack, _terms, _times, _trim, _unpack, check_base
+from .core import MaxMinPoly, _pack_rows, _times_block, _trim, check_base
 from .errors import BudgetExceeded
 from .factor import REDUCIBLE
 
@@ -54,6 +63,8 @@ SPACES = (ALL_VECTORS, EXACT_DEGREE)
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "MINMAX_BUDGET"
 SHARDS = 16
+# rows of one block of factors in the pair enumerations
+BLOCK_ROWS = 1 << 16
 
 
 def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
@@ -419,38 +430,28 @@ class PartitionCensus:
         return self.sizes[2]
 
 
-def _count_geq(coeffs: Sequence[int], level: int) -> int:
-    return sum(1 for c in coeffs if c >= level)
+def _index_rows(b: int, n: int, space: str, start: int, end: int) -> np.ndarray:
+    """The vectors of an index range as uint8 digit rows; the block form of
+    index_to_vector."""
+    idx = np.arange(start, end, dtype=np.int64)
+    digits = np.empty((end - start, n), dtype=np.uint8)
+    if space == EXACT_DEGREE:
+        idx, last = np.divmod(idx, b - 1)
+        digits[:, n - 1] = last + 1
+        n -= 1
+    for pos in range(n - 1, -1, -1):
+        idx, digits[:, pos] = np.divmod(idx, b)
+    return digits
 
 
-def _pair_stats_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[int, int, int, int]]]:
-    """Map each reducible canonical tuple to the stats of all its
-    non-monomial factorizations: (min deg, |f_1|+|g_1|, |f_a|, |g_a|)."""
-    a = b // 2
-    by_deg: list[list[tuple[int, ...]]] = [[] for _ in range(max_deg + 1)]
-    for deg in range(1, max_deg + 1):
-        for t in iter_vectors(b, deg + 1, EXACT_DEGREE):
-            if sum(1 for c in t if c) >= 2:
-                by_deg[deg].append(t)
-    # every product has at most max_deg + 1 terms; pack each factor once
-    width = max_deg + 1
-    planes = [[_pack(b, t, width) for t in ts] for ts in by_deg]
-    table: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-    for m in range(2, max_deg + 1):
-        for dg in range(1, m // 2 + 1):
-            df = m - dg
-            for g in by_deg[dg]:
-                g_nnz = sum(1 for c in g if c)
-                g_a = _count_geq(g, a) if a >= 1 else 0
-                terms = list(_terms(g, width))
-                for f, packed in zip(by_deg[df], planes[df]):
-                    if dg == df and f < g:
-                        continue
-                    prod = _unpack(_times(packed, terms), width, m + 1)
-                    f_nnz = sum(1 for c in f if c)
-                    f_a = _count_geq(f, a) if a >= 1 else 0
-                    table.setdefault(prod, []).append((dg, f_nnz + g_nnz, f_a, g_a))
-    return table
+def _index_tables(b: int, n: int) -> np.ndarray:
+    """Per byte t of a plane word, the table of the byte's share of the
+    all-vectors index: entry x is the sum of b^(n-1-k) over the bits k of
+    x << 8t below n.  A vector's index is the sum of these shares over the
+    bytes of its planes, as coefficient k counts the planes holding bit k."""
+    weights = [b ** (n - 1 - k) for k in range(n)] + [0] * (-n % 8)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    return np.stack([bits @ np.array(weights[t : t + 8], dtype=np.int64) for t in range(0, len(weights), 8)])
 
 
 def _partition_explicit_bounds(b: int, n: int, d: Fraction, v: Fraction, a: int) -> tuple[float, ...]:
@@ -481,65 +482,95 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     factorization satisfies the stated condition; class 7 collects the
     remaining reducible vectors.  Reducible vectors are all covered by
     construction, which is asserted, not assumed.
+
+    For each (deg g, deg f), deg g <= deg f, the non-monomial f come in
+    blocks of packed rows and each non-monomial g multiplies a whole block;
+    at equal degrees only the f >= g in tuple order (the lexicographic
+    index order) take part.  Each product sets, at its vector index, the
+    flag of being reducible and the flag of each condition it meets; an
+    assignment at a repeated index is an OR over factorizations.  The
+    vectors are then classified in blocks from their flags and their
+    support sizes.
     """
     check_enumeration(b, n, ALL_VECTORS, force)
     d, v = params.d, params.v
     a = b // 2
     half_d = d / 2
 
-    def far(mean: Fraction) -> list[bool]:
+    def far(mean: Fraction) -> np.ndarray:
         # the deviation test |count - mean| > d/2, once per possible count
-        return [abs(c - mean) > half_d for c in range(2 * n + 3)]
+        return np.array([abs(c - mean) > half_d for c in range(2 * n + 3)])
 
     far1 = far(Fraction((b - 1) * n, b))
     far1_pair = far(Fraction((b - 1) * (n + 1), b))
     far_a = far(Fraction((b - a) * n, b))
     far_a_pair = far(Fraction((b - a) * (n + 1), b))
-    table = _pair_stats_table(b, n - 1)
-    sizes = [0] * 7
-    sigma = 0
-    total = 0
+    # per vector index: some non-monomial factorization exists, and some
+    # one meets the condition of class 2, 4, 5 or 6
+    size = b**n
+    reducible, pair1, pair_a, low_deg, thin = (np.zeros(size, dtype=bool) for _ in range(5))
+    tables = _index_tables(b, n)
+    columns = np.arange(len(tables))
+    for m in range(2, n):
+        for dg in range(1, m // 2 + 1):
+            df = m - dg
+            gs = [(p, g) for p, g in enumerate(iter_vectors(b, dg + 1, EXACT_DEGREE)) if len(g) - g.count(0) >= 2]
+            f_size = space_size(b, df + 1, EXACT_DEGREE)
+            for lo in range(0, f_size, BLOCK_ROWS):
+                digits = _index_rows(b, df + 1, EXACT_DEGREE, lo, min(lo + BLOCK_ROWS, f_size))
+                f_nnz = np.count_nonzero(digits, axis=1)
+                keep = f_nnz >= 2
+                ids = np.flatnonzero(keep) + lo
+                f_nnz = f_nnz[keep]
+                f_a = np.count_nonzero(digits[keep] >= a, axis=1)
+                block = _pack_rows(b, digits[keep])
+                for p, g in gs:
+                    # at equal degrees only f >= g, the lexicographic order
+                    start = np.searchsorted(ids, p) if dg == df else 0
+                    g_nnz, g_a = len(g) - g.count(0), sum(1 for c in g if c >= a)
+                    prod = _times_block(block[start:], g).astype("<u8", copy=False)
+                    planes = prod.view(np.uint8).reshape(-1, b - 1, 8)[:, :, : len(tables)]
+                    idx = tables[columns, planes].sum(axis=(1, 2))
+                    reducible[idx] = True
+                    pair1[idx[far1_pair[f_nnz[start:] + g_nnz]]] = True
+                    pair_a[idx[far_a_pair[f_a[start:] + g_a]]] = True
+                    if dg <= v:
+                        low_deg[idx] = True
+                    thin[idx if g_a <= 1 else idx[f_a[start:] <= 1]] = True
+    sizes = np.zeros(8, dtype=np.int64)
     uncovered = 0
-    for vec in iter_vectors(b, n, ALL_VECTORS):
-        coeffs = _trim(vec)
-        if not coeffs:
-            continue
-        total += 1
-        witnesses = table.get(coeffs)
-        reducible = witnesses is not None
-        if reducible:
-            sigma += 1
-        nnz1 = sum(1 for c in coeffs if c)
-        cls = 0
-        if far1[nnz1]:
-            cls = 1
-        elif reducible and any(far1_pair[s[1]] for s in witnesses):
-            cls = 2
-        elif far_a[_count_geq(coeffs, a)]:
-            cls = 3
-        elif reducible and any(far_a_pair[s[2] + s[3]] for s in witnesses):
-            cls = 4
-        elif reducible and any(s[0] <= v for s in witnesses):
-            cls = 5
-        elif reducible and any(s[2] <= 1 or s[3] <= 1 for s in witnesses):
-            cls = 6
-        elif reducible:
-            cls = 7
-        if cls:
-            sizes[cls - 1] += 1
-        elif reducible:
-            uncovered += 1
+    # the zero vector, index 0, is in no class
+    for lo in range(1, size, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, size)
+        digits = _index_rows(b, n, ALL_VECTORS, lo, hi)
+        red = reducible[lo:hi]
+        cls = np.select(
+            [
+                far1[np.count_nonzero(digits, axis=1)],
+                pair1[lo:hi],
+                far_a[np.count_nonzero(digits >= a, axis=1)],
+                pair_a[lo:hi],
+                low_deg[lo:hi],
+                thin[lo:hi],
+                red,
+            ],
+            range(1, 8),
+        )
+        sizes += np.bincount(cls, minlength=8)
+        uncovered += int(np.count_nonzero(red & (cls == 0)))
+    sigma = int(np.count_nonzero(reducible))
     if uncovered:
         raise AssertionError("partition failed to cover every reducible vector")
-    if sum(sizes) < sigma:
+    if sizes[1:].sum() < sigma:
         raise AssertionError("partition classes sum below the reducible count")
+    total = size - 1
     return PartitionCensus(
         b,
         n,
         d,
         v,
         a,
-        tuple(sizes),
+        tuple(int(c) for c in sizes[1:]),
         sigma,
         total,
         _partition_explicit_bounds(b, n, d, v, a),
@@ -556,24 +587,32 @@ def close_pair_bound(n: int, k: int, d: int) -> int:
 
 def close_pair_count(n: int, k: int, d: int, *, force: bool = False) -> int:
     """Count boolean pairs (f, g) with f(0) != 0, deg f = k, deg g = n-k and
-    |f*g| <= |f| + |g| + d; asserts the close_pair_bound ceiling."""
+    |f*g| <= |f| + |g| + d; asserts the close_pair_bound ceiling.
+
+    A factor is one bitmask word, its own one-plane packing.  The f are
+    1 + i*x + x^k and the g are i + x^(n-k); each factor of the smaller
+    family multiplies the larger family in blocks of up to BLOCK_ROWS
+    words.  A product has n+1 bits, so n is at most 63."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
         raise ValueError("need d >= 0")
+    if n > 63:
+        raise ValueError(f"need n <= 63 for 64-bit products, got {n}")
     _check_budget(2 ** (n - 1), f"2^{n - 1} pairs", force)
+    # each family as (size, shift of i, fixed bits)
+    families = sorted([(1 << (k - 1), 1, 1 | 1 << k), (1 << (n - k), 0, 1 << (n - k))])
+    (few, few_shift, few_bits), (many, shift, bits) = families
     count = 0
-    f_base = 1 | (1 << k)
-    g_base = 1 << (n - k)
-    for f_mid in range(1 << max(k - 1, 0)):
-        f = f_base | (f_mid << 1)
-        fw = f.bit_count()
-        # a base-2 bitmask is its own one-plane packing
-        terms = list(_terms([(f >> j) & 1 for j in range(k + 1)], n + 1))
-        for g_low in range(1 << (n - k)):
-            g = g_base | g_low
-            if _times(g, terms).bit_count() <= fw + g.bit_count() + d:
-                count += 1
+    for lo in range(0, many, BLOCK_ROWS):
+        block = np.arange(lo, min(lo + BLOCK_ROWS, many), dtype=np.uint64) << np.uint64(shift) | np.uint64(bits)
+        block_size = np.bitwise_count(block)
+        for i in range(few):
+            x = few_bits | i << few_shift
+            prod = _times_block(block[:, None], [(x >> j) & 1 for j in range(x.bit_length())])[:, 0]
+            # f*g holds a shifted copy of each factor, so the uint8
+            # difference is |f*g| - |block factor| >= 0
+            count += int(np.count_nonzero(np.bitwise_count(prod) - block_size <= x.bit_count() + d))
     bound = close_pair_bound(n, k, d)
     if count > bound:
         raise AssertionError(f"close-pair count {count} exceeds bound {bound}")

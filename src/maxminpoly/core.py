@@ -18,9 +18,13 @@ its term list (_terms): its nonzero coefficients grouped by value, one
 1..v, so a product is one AND per distinct value and one shift and OR per
 nonzero term.  The masks are built lazily, one at a time, for a one-shot
 product; a caller that multiplies by the same factor many times keeps its
-term list as a list.  mul_coeffs and the searches, stream products
-and census tables of the other modules all use it; stream products read
-their digits back as bytes (_unpack_bytes), not as a tuple.
+term list as a list.  mul_coeffs and the searches and stream products of
+the other modules all use it; stream products read their digits back as
+bytes (_unpack_bytes), not as a tuple.  The kernel has a block form
+(_times_block) for the exhaustive pair enumerations of the census: a
+block of first factors is a numpy array with one row per factor and one
+uint64 word per plane (_pack_rows packs digit rows so), and one second
+factor multiplies every row in one numpy step per nonzero term.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -37,6 +41,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     BaseMismatch,
@@ -191,6 +197,15 @@ def _mask(v: int, width: int) -> int:
     return (1 << (v * width)) - 1
 
 
+def _positions(g: Sequence[int]) -> dict[int, list[int]]:
+    """The j with g_j = v, per distinct nonzero value v of g."""
+    positions: dict[int, list[int]] = {}
+    for j, v in enumerate(g):
+        if v:
+            positions.setdefault(v, []).append(j)
+    return positions
+
+
 def _terms(g: Sequence[int], width: int) -> Iterator[tuple[int, list[int]]]:
     """The term list of g at stride width: one (mask, positions) pair per
     distinct nonzero value v of g, where mask = _mask(v, width) and
@@ -200,11 +215,7 @@ def _terms(g: Sequence[int], width: int) -> Iterator[tuple[int, list[int]]]:
     the list once holds one mask at a time; a caller that multiplies by g
     many times keeps list(_terms(g, width)).
     """
-    positions: dict[int, list[int]] = {}
-    for j, v in enumerate(g):
-        if v:
-            positions.setdefault(v, []).append(j)
-    for v, js in positions.items():
+    for v, js in _positions(g).items():
         yield _mask(v, width), js
 
 
@@ -218,6 +229,29 @@ def _times(q: int, terms: Iterable[tuple[int, Sequence[int]]]) -> int:
         part = q & mask
         for j in positions:
             prod |= part << j
+    return prod
+
+
+def _pack_rows(b: int, digits: np.ndarray) -> np.ndarray:
+    """The block form of _pack: digit rows (one coefficient tuple per row,
+    at most 64 coefficients) as plane words, word s-1 of a row holding
+    plane s = {k : c_k >= s}, s = 1..b-1, with bit k for coefficient k."""
+    levels = np.arange(1, b, dtype=digits.dtype)[:, None]
+    bits = (digits[:, None, :] >= levels).astype(np.uint64)
+    return (bits << np.arange(digits.shape[1], dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+
+
+def _times_block(block: np.ndarray, g: Sequence[int]) -> np.ndarray:
+    """The block form of _times: the plane words of f*g for every row f of
+    block (rows of plane words, as _pack_rows makes them).  Plane s of a
+    row's product is the OR of (plane s of the row) << j over the j with
+    g_j >= s, so the planes 1..v of the block are shifted once per term of
+    value v.  Needs len(f) + len(g) - 1 <= 64."""
+    prod = np.zeros_like(block)
+    for v, js in _positions(g).items():
+        part = block[:, :v]
+        for j in js:
+            prod[:, :v] |= part << np.uint64(j)
     return prod
 
 

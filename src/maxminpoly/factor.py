@@ -238,6 +238,14 @@ def _divisors(
     neither covers, and the exact prefix product is taken only when that
     part is covered.  A larger value also raises g[k], so a value that
     fails the bound skips only its own subtree.
+
+    The root's completion is built lowest free position first, and a
+    degree is skipped as soon as a bit of h below the next free position
+    k is covered neither by the terms so far nor by q & planes 1..low_top.
+    That is exact: every g[0] value v <= low_top has qv & planes 1..v <=
+    q & planes 1..low_top, and a term added later is shifted by at least
+    k and stays inside its plane (q has deg f + 1 bits per plane), so the
+    root's cover test would fail for every g[0].
     """
     width = len(h)
     low, lead = h[0], h[-1]
@@ -300,15 +308,21 @@ def _divisors(
             support = target & mask[1]
         q = ((1 << (df + 1)) - 1) * every_plane & sat[low] & (sat[lead] >> dg)
         completion = (q & mask[lead_top]) << dg
+        root = q & mask[low_top]
         free = []
         bits = support & (support >> df) & ((1 << dg) - 2)
         while bits:
             k = (bits & -bits).bit_length() - 1
+            # the early exit: terms from k up cover nothing below k
+            if target & ~(root | completion) & ((1 << k) - 1) * every_plane:
+                break
             bits &= bits - 1
             c, d = h[k], h[k + df]
             cap = min(c if c < low else top, d if d < lead else top)
             free.append((k, cap))
             completion |= (q & mask[cap]) << k
+        if bits:
+            continue
         g = [0] * (dg + 1)
         for v in range(low, low_top + 1):
             qv = q & sat[v]

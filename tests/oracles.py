@@ -8,6 +8,7 @@ reducibility is decided by tabulating every product of two non-monomials.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -69,6 +70,46 @@ def product_table(b: int, max_deg: int) -> dict[tuple[int, ...], list[tuple[tupl
 
 def oracle_reducible(b: int, max_deg: int) -> set[tuple[int, ...]]:
     return set(product_table(b, max_deg))
+
+
+def oracle_partition(b: int, n: int, d, v) -> tuple[tuple[int, ...], int, int]:
+    """(class sizes, reducible count, total) of the seven-way partition of
+    the nonzero length-n vectors: each vector goes to the first class whose
+    test holds, every test read straight off the vector and the factor
+    pairs (g, f), deg g <= deg f, that product_table lists for it."""
+    a = b // 2
+    half_d = Fraction(d) / 2
+
+    def far(count: int, numerator: int) -> bool:
+        return abs(count - Fraction(numerator, b)) > half_d
+
+    def geq_a(t: Sequence[int]) -> int:
+        return sum(1 for c in t if c >= a)
+
+    table = product_table(b, n - 1)
+    sizes = [0] * 7
+    sigma = total = 0
+    for vec in itertools.product(range(b), repeat=n):
+        h = tuple(vec)
+        while h and h[-1] == 0:
+            h = h[:-1]
+        if not h:
+            continue
+        total += 1
+        pairs = table.get(h, [])
+        sigma += bool(pairs)
+        tests = (
+            far(_nnz(h), (b - 1) * n),
+            any(far(_nnz(f) + _nnz(g), (b - 1) * (n + 1)) for g, f in pairs),
+            far(geq_a(h), (b - a) * n),
+            any(far(geq_a(f) + geq_a(g), (b - a) * (n + 1)) for g, f in pairs),
+            any(len(g) - 1 <= Fraction(v) for g, f in pairs),
+            any(geq_a(f) <= 1 or geq_a(g) <= 1 for g, f in pairs),
+            bool(pairs),
+        )
+        if any(tests):
+            sizes[tests.index(True)] += 1
+    return tuple(sizes), sigma, total
 
 
 def raw_prime_counts(b: int, max_len: int) -> dict[int, int]:

@@ -9,7 +9,6 @@ before asserting, so a full run doubles as a human-readable report:
 import math
 import random
 import time
-import urllib.request
 from fractions import Fraction
 
 import pytest
@@ -150,42 +149,18 @@ def test_acceptance_05_candidate_closed_form():
 # -- 6: published prime-count cross-check -------------------------------------------------
 
 
-def _fetch_published_counts(timeout: float = 5.0) -> dict[int, int] | None:
-    try:
-        with urllib.request.urlopen("https://oeis.org/A169912/b169912.txt", timeout=timeout) as resp:
-            return census.parse_bfile(resp.read().decode())
-    except Exception:
-        return None
-
-
-def _align(reference: dict[int, int], ours: dict[int, int]) -> int | None:
-    """Index shift s with reference[n + s] == ours[n] on every overlapping
-    n >= 3 (at least 8 points), or None."""
-    for shift in (-2, -1, 0, 1, 2):
-        overlap = [n for n in ours if n >= 3 and n + shift in reference]
-        if len(overlap) >= 8 and all(reference[n + shift] == ours[n] for n in overlap):
-            return shift
-    return None
-
-
 def test_acceptance_06_published_prime_counts(prime_sweep):
     t0 = time.time()
     ours = {n: rec.primes for n, rec in prime_sweep.items()}
-    fetched = _fetch_published_counts()
-    if fetched is not None:
-        source = "fetched"
-        shift = _align(fetched, ours)
-        ok = shift is not None
-        detail = f"source=fetched, shift={shift}"
-    else:
-        source = "offline snapshot"
-        ref = census.load_snapshot_counts()
-        ok = all(ref[n] == ours[n] for n in ours if n >= 3)
-        # documented convention offsets at the two smallest lengths: the
-        # classical count admits the non-candidate prime x (length 2) and
-        # excludes the identity constant (length 1)
-        ok = ok and ref[2] == ours[2] + 1 and ref[1] == ours[1] - 1
-        detail = f"source=offline snapshot, n up to {max(ours)}"
+    # the bundled A169912-convention snapshot, which
+    # scripts/make_oeis_snapshot.py regenerates; the suite needs no network
+    ref = census.load_snapshot_counts()
+    ok = all(ref[n] == ours[n] for n in ours if n >= 3)
+    # documented convention offsets at the two smallest lengths: the
+    # classical count admits the non-candidate prime x (length 2) and
+    # excludes the identity constant (length 1)
+    ok = ok and ref[2] == ours[2] + 1 and ref[1] == ours[1] - 1
+    detail = f"source=bundled snapshot, n up to {max(ours)}"
     elapsed = time.time() - t0
     assert _report(
         "6 published prime-count cross-check",

@@ -11,7 +11,7 @@ import pytest
 
 from maxminpoly import census, core, factor
 from maxminpoly.errors import BudgetExceeded
-from oracles import oracle_close_pairs, oracle_reducible
+from oracles import oracle_close_pairs, oracle_partition, oracle_reducible, product_table
 
 P = core.parse_poly
 
@@ -443,11 +443,23 @@ def test_close_pair_count_matches_brute_force():
                 assert census.close_pair_count(n, k, d) == oracle_close_pairs(n, k, d), (n, k, d)
 
 
+def test_close_pair_count_across_block_boundaries(monkeypatch):
+    # three rows a block: both families span several blocks, the last one short
+    monkeypatch.setattr(census, "BLOCK_ROWS", 3)
+    for n in range(4, 9):
+        for k in range(1, n):
+            for d in (0, 1, 2):
+                assert census.close_pair_count(n, k, d) == oracle_close_pairs(n, k, d), (n, k, d)
+
+
 def test_close_pair_validation(monkeypatch):
     with pytest.raises(ValueError):
         census.close_pair_count(4, 0, 1)
     with pytest.raises(ValueError):
         census.close_pair_count(3, 1, -1)
+    # a product of n+1 bits must fit one 64-bit word, forced or not
+    with pytest.raises(ValueError, match="n <= 63"):
+        census.close_pair_count(64, 3, 1, force=True)
     monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
     with pytest.raises(BudgetExceeded):
         census.close_pair_count(30, 3, 1)
@@ -468,6 +480,36 @@ def test_partition_census_small(census_cache):
         assert part.e1 <= bound13
         assert part.e3 <= bound13
         assert part.explicit_bounds[0] == pytest.approx(bound13)
+
+
+@pytest.mark.parametrize(
+    "b, n, d, v",
+    (
+        (2, 3, 2, 2),
+        (2, 7, 2, 2),
+        (2, 8, 3, 1),
+        (3, 5, 2, 2),
+        (3, 6, 1, 3),
+        (4, 4, 4, 0.5),
+        (4, 5, 3, 1),
+        (5, 4, 2, 2),
+        (5, 4, 4, 0.5),
+    ),
+)
+def test_partition_census_matches_oracle(b, n, d, v):
+    part = census.partition_census(b, n, census.BoundParams.make(d, v))
+    assert (part.sizes, part.sigma, part.total) == oracle_partition(b, n, d, v)
+    assert all(type(x) is int for x in (*part.sizes, part.sigma, part.total))
+    assert all(type(x) is float for x in part.explicit_bounds)
+
+
+def test_partition_oracle_cases_reach_the_hard_paths():
+    # class 6 is nonempty at b=4
+    assert oracle_partition(4, 5, 3, 1)[0][5] > 0
+    # at b=2 n=3 the one reducible vector is a square, (1 + x)^2 = 1 + x + x^2,
+    # an equal-degree product with f == g
+    assert oracle_partition(2, 3, 2, 2)[1] == 1
+    assert product_table(2, 2) == {(1, 1, 1): [((1, 1), (1, 1))]}
 
 
 def test_partition_membership_is_first_applicable():

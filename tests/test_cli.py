@@ -289,6 +289,48 @@ def test_partition(capsys):
     assert len(rep["explicit_bounds"]) == 7
 
 
+PARTITION_B3_N5 = """{
+  "a": 1,
+  "b": 3,
+  "explicit_bounds": [
+    309.8872816881818,
+    2505.169421193094,
+    309.8872816881818,
+    2505.169421193094,
+    156250.00000000003,
+    0.0,
+    422828883.8048871
+  ],
+  "flags": {
+    "b": 3,
+    "command": "partition",
+    "d": 3.0,
+    "force": false,
+    "n": 5,
+    "v": 1.0
+  },
+  "n": 5,
+  "sigma": 91,
+  "sizes": [
+    42,
+    0,
+    0,
+    0,
+    57,
+    0,
+    7
+  ],
+  "total": 242,
+  "version": "%s"
+}
+"""
+
+
+def test_partition_report_is_fixed(capsys):
+    # the report of the per-vector loop that the block enumeration replaced
+    assert run(capsys, "partition", "--b", "3", "--n", "5", "--d", "3", "--v", "1") == (0, PARTITION_B3_N5 % __version__)
+
+
 @pytest.mark.parametrize("d, v", (("2", "2000"), ("400", "2")))
 def test_partition_overflowing_bound_is_null(d, v, capsys):
     rep = run_json(capsys, "partition", "--b", "2", "--n", "4", "--d", d, "--v", v)

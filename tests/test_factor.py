@@ -272,6 +272,26 @@ def test_binomial_first_witness_matches_unpruned_reference(b, max_deg):
     assert binomial >= 60 and gapped >= 20
 
 
+@pytest.mark.parametrize(
+    "h",
+    (
+        # b=3: degree 4 is cut at the first of its two free positions,
+        # degree 2 reaches the root test, and the witness has degree 6
+        "3:2,2,2,1,2,1,2,2,2,1,2,1,2",
+        # b=2, irreducible: degree 5 is cut at the first of its two free
+        # positions, degree 1 reaches the root test
+        "2:1,1,1,0,1,1,0,1,0,1,1",
+    ),
+)
+def test_root_early_exit_matches_unpruned_reference(h):
+    h = P(h)
+    b, coeffs = h.base, h.coeffs
+    want = oracle_first_witness(b, coeffs)
+    assert _search(b, coeffs) == (factor.REDUCIBLE if want else factor.IRREDUCIBLE, want)
+    got = [(w.g.coeffs, w.h.coeffs) for w in factor.all_factorizations(h)]
+    assert got == oracle_factorizations(b, coeffs)
+
+
 @pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))
 def test_all_factorizations_match_unpruned_reference(b, max_deg, count):
     for h in _search_inputs(b, max_deg, count):

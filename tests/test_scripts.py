@@ -78,3 +78,32 @@ def test_census_ab_alternates_two_trees():
     # stderr logs one line per run, the sides alternating first
     sides = [line.split()[2] for line in proc.stderr.splitlines()]
     assert sides[:4] == ["parent", "change", "change", "parent"]
+
+
+def test_frontier_alternates_two_trees_and_prints_json():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def frontier(*args):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "frontier.py"), "--against", str(ROOT), "--json", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout), proc.stderr.splitlines()
+
+    report, log = frontier("--grid", "2:4,6", "3:3")
+    assert list(report["trees"]) == ["this", "against"]
+    assert report["trees"]["this"]["path"] == report["trees"]["against"]["path"] == str(ROOT)
+    assert report["cap_s"] == 60.0 and report["machine"]["nproc"] >= 1
+    assert [(c["b"], c["n"]) for c in report["cells"]] == [(2, 4), (2, 6), (3, 3)]
+    assert all(isinstance(c[side], float) for c in report["cells"] for side in ("this", "against"))
+    assert report["frontier"] == {"this": {"2": 6, "3": 3}, "against": {"2": 6, "3": 3}}
+    # one stderr line per run, the tree that goes first alternating
+    assert [line.split()[1] for line in log] == ["this", "against", "against", "this", "this", "against"]
+    # each tree stops at its own cap
+    report, _ = frontier("--cap", "0.001", "--grid", "2:4,6")
+    assert report["cells"] == [
+        {"b": 2, "n": 4, "this": "> cap", "against": "> cap"},
+        {"b": 2, "n": 6, "this": "not run", "against": "not run"},
+    ]
+    assert report["frontier"] == {"this": {"2": None}, "against": {"2": None}}
