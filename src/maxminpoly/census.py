@@ -8,32 +8,40 @@ Two enumeration conventions are exposed and labeled on every record:
 * ``exact-degree`` restricts to vectors whose leading digit is nonzero,
   i.e. genuine degree n-1 polynomials.
 
-The census classifies one vector per orbit of the two symmetries of the
-class: x^t * h has the class of h, and so does the reversal of h when both
-its end digits are nonzero.  Each orbit is counted at its canonical
-representative (`_orbits`) with the orbit's size as weight, so the counts
-are those of every vector while the engine runs once per reversal pair of
-cores (vectors with both end digits nonzero) of length up to n.  The
-partition census splits the same space into seven deviation classes keyed
-on support sizes and factorization shapes, evaluating the explicit tail
-bound attached to each class; enumeration order is lexicographic on the
-coefficient vectors, so shard ranges are well-defined and resumable.
-`_jobs` is the one shard plan of the census and the checkpointed census:
-SHARDS ranges of the full space fixed by (b, n, space) alone, so a
-checkpoint resumes at any worker count.  A shard counts the orbits whose
-representative lies in its range, so only the sum over the plan is a
-census, and a checkpoint carries a tally marker: one written when shards
-counted their own vectors is rejected, not merged.  `run_shards` runs
-those shards and the density sampler's chunks, and `_tally` counts both,
-the draws with unit weights.
+The census is a forward product sieve.  A vector is reducible when it is
+g*f with neither factor a monomial, and x^t * c has the class of c.  The
+end digits of g*f are the minima of those of g and f, so the factors of
+a core (a vector with both end digits nonzero) are cores, and it is
+enough to mark every product of two cores (`_core_products`), one degree
+of the product at a time (`_sieve_degree`), and to copy each core's flag
+to its shifts (`_spread_shifts`): b^n booleans, one per all-vectors
+index (`_reducible_flags`).  The counts of an index range then follow
+from those flags and from the digits of its vectors with numpy
+reductions (`_count_range`); no vector is decided one at a time.  With
+more than one worker the degrees run on worker processes, and their
+parts merge by union.
 
-The two exhaustive pair enumerations, the partition census and the
-close-pair count, run on core's block product (`_times_block`): one
-second factor multiplies a block of up to BLOCK_ROWS first factors, each
-a row of uint64 plane words, in a few numpy steps, so no Python code runs
-per factor pair or per vector.  The partition runs unsharded: it marks
-per-vector flags, b^n booleans for each of five conditions, which every
-worker would have to hold whole.
+`_jobs` is the one shard plan of the checkpointed census: SHARDS ranges
+of the full space fixed by (b, n, space) alone, so a checkpoint resumes
+at any worker count.  A shard counts the vectors of its range, and the
+checkpoint header carries the tally marker "vectors", so a checkpoint of
+the earlier orbit tally is rejected, not merged.  `run_shards` runs the
+sieve's degrees and the density sampler's chunks.
+
+The partition census splits the same space into seven deviation classes
+keyed on support sizes and factorization shapes, evaluating the explicit
+tail bound attached to each class; it reads the same core products.
+Enumeration order is lexicographic on the coefficient vectors, so shard
+ranges are well-defined and resumable.
+
+The two exhaustive pair enumerations, the sieve (with the partition) and
+the close-pair count, run on core's block product (`_times_block`): a
+block of second factors multiplies a block of first factors, each held
+as one uint64 word per plane, in a few numpy steps per coefficient
+position, with at most BLOCK_ROWS plane words to a block of products, so
+no Python code runs per factor pair or per vector.  The partition runs unsharded:
+it marks per-vector flags, b^n booleans for each of five conditions,
+which every worker would have to hold whole.
 """
 
 from __future__ import annotations
@@ -43,18 +51,18 @@ import functools
 import json
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, factor
+from . import __version__
 from .core import MaxMinPoly, _pack_rows, _times_block, _trim, check_base
-from .errors import BudgetExceeded
-from .factor import REDUCIBLE
+from .errors import BoundExceeded, BudgetExceeded
 
 ALL_VECTORS = "all-vectors"
 EXACT_DEGREE = "exact-degree"
@@ -63,7 +71,8 @@ SPACES = (ALL_VECTORS, EXACT_DEGREE)
 DEFAULT_BUDGET = 200_000_000
 BUDGET_ENV_VAR = "MINMAX_BUDGET"
 SHARDS = 16
-# rows of one block of factors in the pair enumerations
+# rows of one block of factors or vectors in the enumerations and counts;
+# a block of products holds at most this many plane words
 BLOCK_ROWS = 1 << 16
 
 
@@ -80,15 +89,21 @@ def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int = 1) -> Iterato
 
     With more than one worker and more than one job the jobs run on a pool
     of min(workers, len(jobs)) processes (fn and the jobs must pickle);
-    otherwise they run in this process.
+    otherwise they run in this process.  The workers ignore SIGINT, so an
+    interrupt reaches this process alone.  When it, or anything else,
+    ends the iteration early, the jobs not yet started are cancelled and
+    the pool shuts down once the running ones finish.
     """
     workers = min(workers, len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *zip(*jobs))
-    else:
+    if workers <= 1:
         for job in jobs:
             yield fn(*job)
+        return
+    pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    try:
+        yield from pool.map(fn, *zip(*jobs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,71 +223,124 @@ def _jobs(b: int, n: int, space: str) -> list[tuple[int, int, str, int, int]]:
 
 
 def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusRecord:
-    """Census counts of the orbits whose representative lies in a
-    lexicographic index range; see `_orbits`."""
-    check_base(b)
-    return _tally(b, n, space, _orbits(b, n, space, start, end))
-
-
-def _orbits(b: int, n: int, space: str, start: int, end: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The canonical representatives in an index range, each as (trimmed
-    coefficients, class weight, candidate weight).
-
-    A nonzero vector is x^t * c with both ends of c nonzero; its class is
-    that of c, and of c reversed.  The representative of {x^t * c,
-    x^t * c[::-1]} over every t the space admits is the one with
-    c <= c[::-1] and, in the all-vectors space, t = 0, so each orbit has
-    exactly one representative in the index range [0, size).  Its class
-    weight is the orbit's size and its candidate weight |{c, c[::-1]}|:
-    of the orbit, only x^t * c and x^t * c[::-1] at the representative's
-    t can have a nonzero constant term, and `_tally` checks that on the
-    representative.
-    """
+    """Census counts of the vectors in a lexicographic index range; the
+    sieve runs over the whole space, as a vector's core can lie outside
+    the range."""
+    check_enumeration(b, n, space)
     if not 0 <= start <= end <= space_size(b, n, space):
         raise ValueError("index range out of bounds")
-    shifts = space == ALL_VECTORS
-    # all-vectors representatives have a nonzero constant term: index >= b^(n-1)
-    lo = b ** (n - 1) if shifts else 0
-    for vec in iter_vectors(b, n, space, max(start, min(end, lo)), end):
-        coeffs = _trim(vec)
-        t = 0
-        while not coeffs[t]:
-            t += 1
-        c = coeffs[t:]
-        rev = c[::-1]
-        if c <= rev:
-            pair = 1 if c == rev else 2
-            yield coeffs, (n - len(c) + 1 if shifts else 1) * pair, pair
-
-
-def _tally(b: int, n: int, space: str, weighted: Iterable[tuple[Sequence[int], int, int]]) -> CensusRecord:
-    """Census counts over (trimmed nonzero coefficients, class weight,
-    candidate weight) triples: each tuple is classified once, its class
-    counted `class weight` times and its candidacy `candidate weight`
-    times.  The census passes orbit representatives, the density sampler
-    its draws with unit weights."""
-    total = monomials = irreducible = reducible = candidates = primes = 0
-    for coeffs, weight, end_weight in weighted:
-        total += weight
-        # a candidate monomial is the constant b-1, which is prime
-        candidate = end_weight if coeffs[0] != 0 and max(coeffs) == b - 1 else 0
-        candidates += candidate
-        if len(coeffs) - coeffs.count(0) == 1:
-            monomials += weight
-            primes += candidate
-        elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
-            reducible += weight
-        else:
-            irreducible += weight
-            primes += candidate
-    return CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
+    return _count_range(b, n, space, start, end, _reducible_flags(b, n))
 
 
 def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force: bool = False) -> CensusRecord:
-    """Exhaustive classification counts for one (b, n, space), run as the
-    shards of `_jobs` on up to `workers` processes."""
+    """Exhaustive classification counts for one (b, n, space): the product
+    sieve, its degrees on up to `workers` processes, then one count over
+    the space."""
     check_enumeration(b, n, space, force)
-    return functools.reduce(merge_records, run_shards(census_range, _jobs(b, n, space), workers))
+    return _count_range(b, n, space, 0, space_size(b, n, space), _reducible_flags(b, n, workers))
+
+
+# -- the product sieve --------------------------------------------------------
+
+
+def _core_products(b: int, m: int, length: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every product g*f of two cores of degrees dg <= df with dg + df = m,
+    in chunks (gs, fs, idx): gs and fs blocks of digit rows, and idx the
+    all-vectors index, among vectors of `length` >= m + 1 digits, of the
+    product of each pair (g, f), g-major.
+
+    A core has both end digits nonzero, so it is no monomial, and the cores
+    of one length are the tail of that length's exact-degree space.  The f
+    come in blocks of BLOCK_ROWS / (b-1) factors, and each is multiplied
+    by as many g at once as keep the products within BLOCK_ROWS plane
+    words.  At equal degrees both orders of a pair take part.
+    """
+    tables = _index_tables(b, length)
+    rows = max(1, BLOCK_ROWS // (b - 1))
+    for dg in range(1, m // 2 + 1):
+        df = m - dg
+        gs = _index_rows(b, dg + 1, EXACT_DEGREE, (b - 1) * b ** (dg - 1), (b - 1) * b**dg)
+        f_end = (b - 1) * b**df
+        for lo in range((b - 1) * b ** (df - 1), f_end, rows):
+            fs = _index_rows(b, df + 1, EXACT_DEGREE, lo, min(lo + rows, f_end))
+            block = _pack_rows(b, fs)
+            step = max(1, rows // len(fs))
+            for k in range(0, len(gs), step):
+                prod = _times_block(block, gs[k : k + step]).astype("<u8", copy=False)
+                octets = prod.view(np.uint8).reshape(*prod.shape, 8)
+                idx = np.zeros((len(prod), len(fs)), dtype=np.int64)
+                for s in range(b - 1):
+                    for t, table in enumerate(tables):
+                        idx += table[octets[:, s, :, t]]
+                yield gs[k : k + step], fs, idx.ravel()
+
+
+def _sieve_degree(b: int, m: int) -> np.ndarray:
+    """The reducible cores of degree m: entry i is set when the core of
+    all-vectors index b^m + i among vectors of m + 1 digits is a product."""
+    flags = np.zeros((b - 1) * b**m, dtype=bool)
+    for _, _, idx in _core_products(b, m, m + 1):
+        flags[idx - b**m] = True
+    return flags
+
+
+def _spread_shifts(b: int, n: int, flags: np.ndarray) -> None:
+    """Give each vector x^t * c the flag of its core c.  The cores fill the
+    indices from b^(n-1) up, and c's index is that of x^t * c times b^t."""
+    cores = flags[b ** (n - 1) :]
+    for t in range(1, n):
+        flags[b ** (n - 1 - t) : b ** (n - t)] = cores[:: b**t]
+
+
+def _reducible_flags(b: int, n: int, workers: int = 1) -> np.ndarray:
+    """Per all-vectors index, whether the vector is reducible: its core is
+    a product of two cores, and the classes of x^t * c and c agree.  The
+    degrees of the sieve run as the jobs of `run_shards`, the largest
+    first; they mark disjoint cores, so the parts merge by union."""
+    flags = np.zeros(b**n, dtype=bool)
+    cores = flags[b ** (n - 1) :]
+    degrees = range(n - 1, 1, -1)
+    with contextlib.closing(run_shards(_sieve_degree, [(b, m) for m in degrees], workers)) as parts:
+        for m, part in zip(degrees, parts):
+            # the cores of degree m among those of n digits: index times b^(n-1-m)
+            cores[:: b ** (n - 1 - m)] |= part
+    _spread_shifts(b, n, flags)
+    return flags
+
+
+def _count_range(b: int, n: int, space: str, start: int, end: int, reducible: np.ndarray) -> CensusRecord:
+    """Census counts of an index range, in blocks, from the all-vectors
+    `reducible` flags and the support size and largest digit of each
+    vector, read for its high and its low digits from tables."""
+    low = n // 2
+    high_nnz, high_max = _digit_stats(b, n - low)
+    low_nnz, low_max = _digit_stats(b, low)
+    total = monomials = red = candidates = primes = 0
+    for lo in range(start, end, BLOCK_ROWS):
+        idx = np.arange(lo, min(lo + BLOCK_ROWS, end), dtype=np.int64)
+        if space == EXACT_DEGREE:
+            q, r = np.divmod(idx, b - 1)
+            idx = q * b + r + 1
+        upper, lower = np.divmod(idx, b**low)
+        nnz = high_nnz[upper] + low_nnz[lower]
+        flags = reducible[idx]
+        # a candidate has a nonzero constant term, the leading digit of
+        # the index, and a digit b-1; a candidate monomial is the constant
+        # b-1, which is prime
+        candidate = (idx >= b ** (n - 1)) & (np.maximum(high_max[upper], low_max[lower]) == b - 1)
+        total += int(np.count_nonzero(nnz))
+        monomials += int(np.count_nonzero(nnz == 1))
+        red += int(np.count_nonzero(flags))
+        candidates += int(np.count_nonzero(candidate))
+        primes += int(np.count_nonzero(candidate & ~flags))
+    return CensusRecord(b, n, space, total, monomials, total - monomials - red, red, candidates, primes)
+
+
+def _digit_stats(b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per all-vectors index of k digits, the vector's support size and
+    its largest digit."""
+    digits = _index_rows(b, k, ALL_VECTORS, 0, b**k)
+    return np.count_nonzero(digits, axis=1), digits.max(axis=1, initial=0)
 
 
 # -- checkpointed census ------------------------------------------------------
@@ -281,26 +349,27 @@ def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force:
 def census_with_checkpoint(
     b: int, n: int, space: str, path: str | Path, *, workers: int = 1, force: bool = False
 ) -> CensusRecord:
-    """Run the shards of `_jobs`, persisting partials to JSON.
+    """Count the shards of `_jobs`, persisting partials to JSON.
 
     An interrupted run resumes from the shards already on disk, at any
     worker count; completed shards are merged by the associative record
-    addition.  A shard's partial counts the orbits of `_orbits` whose
-    representative lies in its range, which only sums to the census over
-    the whole plan.  The header records the census, the plan's shard size,
-    that tally and the package version, and a checkpoint whose header does
-    not match (one written before the orbit tally among them), whose shards
+    addition.  A shard's partial counts the vectors of its range.  The
+    sieve is not saved: a resume with pending shards runs it again, on up
+    to `workers` processes, and counts only the missing ranges.  The
+    header records the census, the plan's shard size, the tally marker
+    "vectors" and the package version, and a checkpoint whose header does
+    not match (one written by the orbit tally among them), whose shards
     repeat, are not in the plan or are malformed, or whose counts do not
-    add up to the space, is rejected rather than merged.  Pending shards
-    run through `run_shards`, each written as it arrives.  Each write goes
-    to a temporary file that then replaces the checkpoint, so a crash
-    leaves the previous checkpoint intact.
+    add up to the space, is rejected rather than merged.  Each shard is
+    written as it is counted, to a temporary file that then replaces the
+    checkpoint, so a crash or an interrupt leaves the last complete
+    checkpoint intact.
     """
     check_enumeration(b, n, space, force)
     path = Path(path)
     jobs = _jobs(b, n, space)
     # the first shard starts at 0, so its end is the plan's step
-    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "tally": "orbits", "version": __version__}
+    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "tally": "vectors", "version": __version__}
     entries: list = []
     if path.exists():
         state = json.loads(path.read_text())
@@ -313,14 +382,13 @@ def census_with_checkpoint(
     if len(shards) != len(entries) or not {job[3:] for job in jobs}.issuperset(shards):
         raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
     jobs = [job for job in jobs if job[3:] not in shards]
+    reducible = _reducible_flags(b, n, workers) if jobs else None
     tmp = Path(f"{path}.tmp")
-    # closing() shuts the pool down at once if a write fails
-    with contextlib.closing(run_shards(census_range, jobs, workers)) as parts:
-        for partial, (_, _, _, start, end) in zip(parts, jobs):
-            shards[start, end] = partial
-            entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
-            tmp.write_text(json.dumps({**header, "shards": entries}))
-            os.replace(tmp, path)
+    for _, _, _, start, end in jobs:
+        partial = shards[start, end] = _count_range(b, n, space, start, end, reducible)
+        entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
+        tmp.write_text(json.dumps({**header, "shards": entries}))
+        os.replace(tmp, path)
     rec = functools.reduce(merge_records, shards.values())
     nonzero = space_size(b, n, space) - (space == ALL_VECTORS)
     if rec.total != nonzero:
@@ -483,14 +551,17 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     remaining reducible vectors.  Reducible vectors are all covered by
     construction, which is asserted, not assumed.
 
-    For each (deg g, deg f), deg g <= deg f, the non-monomial f come in
-    blocks of packed rows and each non-monomial g multiplies a whole block;
-    at equal degrees only the f >= g in tuple order (the lexicographic
-    index order) take part.  Each product sets, at its vector index, the
-    flag of being reducible and the flag of each condition it meets; an
-    assignment at a repeated index is an OR over factorizations.  The
-    vectors are then classified in blocks from their flags and their
-    support sizes.
+    The factorizations of x^t * c, c a core, are those of c with the t
+    shifts spread over the two factors.  Each condition asks for one
+    whose support sizes, or whose smaller degree, pass a test; the spread
+    keeps support sizes, and with every shift on the larger factor it
+    keeps the smaller degree, so x^t * c meets a condition exactly when c
+    does.  The pairs of cores of `_core_products` thus suffice: each
+    product sets, at its vector index, the flag of being reducible and
+    the flag of each condition it meets (an assignment at a repeated
+    index is an OR over factorizations), and `_spread_shifts` copies the
+    flags of each core to its shifts.  The vectors are then classified
+    in blocks from their flags and their support sizes.
     """
     check_enumeration(b, n, ALL_VECTORS, force)
     d, v = params.d, params.v
@@ -509,34 +580,19 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     # one meets the condition of class 2, 4, 5 or 6
     size = b**n
     reducible, pair1, pair_a, low_deg, thin = (np.zeros(size, dtype=bool) for _ in range(5))
-    tables = _index_tables(b, n)
-    columns = np.arange(len(tables))
     for m in range(2, n):
-        for dg in range(1, m // 2 + 1):
-            df = m - dg
-            gs = [(p, g) for p, g in enumerate(iter_vectors(b, dg + 1, EXACT_DEGREE)) if len(g) - g.count(0) >= 2]
-            f_size = space_size(b, df + 1, EXACT_DEGREE)
-            for lo in range(0, f_size, BLOCK_ROWS):
-                digits = _index_rows(b, df + 1, EXACT_DEGREE, lo, min(lo + BLOCK_ROWS, f_size))
-                f_nnz = np.count_nonzero(digits, axis=1)
-                keep = f_nnz >= 2
-                ids = np.flatnonzero(keep) + lo
-                f_nnz = f_nnz[keep]
-                f_a = np.count_nonzero(digits[keep] >= a, axis=1)
-                block = _pack_rows(b, digits[keep])
-                for p, g in gs:
-                    # at equal degrees only f >= g, the lexicographic order
-                    start = np.searchsorted(ids, p) if dg == df else 0
-                    g_nnz, g_a = len(g) - g.count(0), sum(1 for c in g if c >= a)
-                    prod = _times_block(block[start:], g).astype("<u8", copy=False)
-                    planes = prod.view(np.uint8).reshape(-1, b - 1, 8)[:, :, : len(tables)]
-                    idx = tables[columns, planes].sum(axis=(1, 2))
-                    reducible[idx] = True
-                    pair1[idx[far1_pair[f_nnz[start:] + g_nnz]]] = True
-                    pair_a[idx[far_a_pair[f_a[start:] + g_a]]] = True
-                    if dg <= v:
-                        low_deg[idx] = True
-                    thin[idx if g_a <= 1 else idx[f_a[start:] <= 1]] = True
+        for gs, fs, idx in _core_products(b, m, n):
+            g_a, f_a = (np.count_nonzero(x >= a, axis=1) for x in (gs, fs))
+            pair_nnz = np.count_nonzero(gs, axis=1)[:, None] + np.count_nonzero(fs, axis=1)
+            reducible[idx] = True
+            pair1[idx[far1_pair[pair_nnz.ravel()]]] = True
+            pair_a[idx[far_a_pair[(g_a[:, None] + f_a).ravel()]]] = True
+            # gs holds the factor of the smaller degree
+            if gs.shape[1] - 1 <= v:
+                low_deg[idx] = True
+            thin[idx[((g_a[:, None] <= 1) | (f_a <= 1)).ravel()]] = True
+    for flags in (reducible, pair1, pair_a, low_deg, thin):
+        _spread_shifts(b, n, flags)
     sizes = np.zeros(8, dtype=np.int64)
     uncovered = 0
     # the zero vector, index 0, is in no class
@@ -587,12 +643,14 @@ def close_pair_bound(n: int, k: int, d: int) -> int:
 
 def close_pair_count(n: int, k: int, d: int, *, force: bool = False) -> int:
     """Count boolean pairs (f, g) with f(0) != 0, deg f = k, deg g = n-k and
-    |f*g| <= |f| + |g| + d; asserts the close_pair_bound ceiling.
+    |f*g| <= |f| + |g| + d, checked against the close_pair_bound ceiling.
 
     A factor is one bitmask word, its own one-plane packing.  The f are
-    1 + i*x + x^k and the g are i + x^(n-k); each factor of the smaller
-    family multiplies the larger family in blocks of up to BLOCK_ROWS
-    words.  A product has n+1 bits, so n is at most 63."""
+    1 + i*x + x^k and the g are i + x^(n-k); the larger family comes in
+    blocks of up to BLOCK_ROWS words, each multiplied by as many factors
+    of the smaller family, as digit rows, as keep a chunk within
+    BLOCK_ROWS products.  A product has n+1 bits, so n is at most 63.
+    A count over the ceiling raises BoundExceeded."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
@@ -603,19 +661,22 @@ def close_pair_count(n: int, k: int, d: int, *, force: bool = False) -> int:
     # each family as (size, shift of i, fixed bits)
     families = sorted([(1 << (k - 1), 1, 1 | 1 << k), (1 << (n - k), 0, 1 << (n - k))])
     (few, few_shift, few_bits), (many, shift, bits) = families
+    xs = np.arange(few, dtype=np.uint64) << np.uint64(few_shift) | np.uint64(few_bits)
+    digits = (xs[:, None] >> np.arange(few_bits.bit_length(), dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
+    # f*g holds a shifted copy of each factor, so the uint8 difference
+    # |f*g| - |block factor| is >= 0, and at most |x| + d for a close pair
+    limits = np.bitwise_count(xs).astype(np.int64)[:, None] + d
     count = 0
     for lo in range(0, many, BLOCK_ROWS):
         block = np.arange(lo, min(lo + BLOCK_ROWS, many), dtype=np.uint64) << np.uint64(shift) | np.uint64(bits)
         block_size = np.bitwise_count(block)
-        for i in range(few):
-            x = few_bits | i << few_shift
-            prod = _times_block(block[:, None], [(x >> j) & 1 for j in range(x.bit_length())])[:, 0]
-            # f*g holds a shifted copy of each factor, so the uint8
-            # difference is |f*g| - |block factor| >= 0
-            count += int(np.count_nonzero(np.bitwise_count(prod) - block_size <= x.bit_count() + d))
+        step = max(1, BLOCK_ROWS // len(block))
+        for i in range(0, few, step):
+            prod = _times_block(block[None], digits[i : i + step])[:, 0]
+            count += int(np.count_nonzero(np.bitwise_count(prod) - block_size <= limits[i : i + step]))
     bound = close_pair_bound(n, k, d)
     if count > bound:
-        raise AssertionError(f"close-pair count {count} exceeds bound {bound}")
+        raise BoundExceeded(f"close-pair count {count} exceeds the bound n^(2d+2) * 2^k = {bound}")
     return count
 
 

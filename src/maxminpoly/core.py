@@ -22,9 +22,10 @@ term list as a list.  mul_coeffs and the searches and stream products of
 the other modules all use it; stream products read their digits back as
 bytes (_unpack_bytes), not as a tuple.  The kernel has a block form
 (_times_block) for the exhaustive pair enumerations of the census: a
-block of first factors is a numpy array with one row per factor and one
-uint64 word per plane (_pack_rows packs digit rows so), and one second
-factor multiplies every row in one numpy step per nonzero term.
+block of first factors is a numpy array with one row per plane and one
+uint64 word per factor (_pack_rows packs digit rows so), and a block of
+second factors, as digit rows, multiplies every factor in one masked
+shift and OR per coefficient position.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -197,15 +198,6 @@ def _mask(v: int, width: int) -> int:
     return (1 << (v * width)) - 1
 
 
-def _positions(g: Sequence[int]) -> dict[int, list[int]]:
-    """The j with g_j = v, per distinct nonzero value v of g."""
-    positions: dict[int, list[int]] = {}
-    for j, v in enumerate(g):
-        if v:
-            positions.setdefault(v, []).append(j)
-    return positions
-
-
 def _terms(g: Sequence[int], width: int) -> Iterator[tuple[int, list[int]]]:
     """The term list of g at stride width: one (mask, positions) pair per
     distinct nonzero value v of g, where mask = _mask(v, width) and
@@ -215,7 +207,11 @@ def _terms(g: Sequence[int], width: int) -> Iterator[tuple[int, list[int]]]:
     the list once holds one mask at a time; a caller that multiplies by g
     many times keeps list(_terms(g, width)).
     """
-    for v, js in _positions(g).items():
+    positions: dict[int, list[int]] = {}
+    for j, v in enumerate(g):
+        if v:
+            positions.setdefault(v, []).append(j)
+    for v, js in positions.items():
         yield _mask(v, width), js
 
 
@@ -232,26 +228,34 @@ def _times(q: int, terms: Iterable[tuple[int, Sequence[int]]]) -> int:
     return prod
 
 
+_ONES = np.uint64(2**64 - 1)
+
+
 def _pack_rows(b: int, digits: np.ndarray) -> np.ndarray:
     """The block form of _pack: digit rows (one coefficient tuple per row,
-    at most 64 coefficients) as plane words, word s-1 of a row holding
-    plane s = {k : c_k >= s}, s = 1..b-1, with bit k for coefficient k."""
-    levels = np.arange(1, b, dtype=digits.dtype)[:, None]
-    bits = (digits[:, None, :] >= levels).astype(np.uint64)
+    at most 64 coefficients) as plane words, row s-1 holding plane
+    s = {k : c_k >= s} of each digit row, s = 1..b-1, with bit k for
+    coefficient k."""
+    levels = np.arange(1, b, dtype=digits.dtype)[:, None, None]
+    bits = (digits >= levels).astype(np.uint64)
     return (bits << np.arange(digits.shape[1], dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
 
 
-def _times_block(block: np.ndarray, g: Sequence[int]) -> np.ndarray:
-    """The block form of _times: the plane words of f*g for every row f of
-    block (rows of plane words, as _pack_rows makes them).  Plane s of a
-    row's product is the OR of (plane s of the row) << j over the j with
-    g_j >= s, so the planes 1..v of the block are shifted once per term of
-    value v.  Needs len(f) + len(g) - 1 <= 64."""
-    prod = np.zeros_like(block)
-    for v, js in _positions(g).items():
-        part = block[:, :v]
-        for j in js:
-            prod[:, :v] |= part << np.uint64(j)
+def _times_block(block: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """The block form of _times: the plane words of g*f for every digit row
+    g of gs and every factor f of block (one row per plane, one word per
+    factor, as _pack_rows makes them), in an array of shape (len(gs),
+    planes, factors).  Plane s of a product is the OR of (plane s of f) << j
+    over the j with g_j >= s, so per position j the block is shifted once
+    and kept, for each g, in its planes 1..g_j.  Needs len(f) + len(g) - 1
+    <= 64."""
+    prod = np.zeros((len(gs), *block.shape), dtype=np.uint64)
+    part = np.empty_like(prod)
+    levels = np.arange(1, len(block) + 1)
+    for j in range(gs.shape[1]):
+        keep = np.where(gs[:, j, None] >= levels, _ONES, np.uint64(0))
+        np.bitwise_and(block << np.uint64(j), keep[:, :, None], out=part)
+        prod |= part
     return prod
 
 

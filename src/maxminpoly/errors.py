@@ -37,6 +37,10 @@ class BudgetExceeded(MaxMinError):
     """An exhaustive enumeration is larger than the configured budget."""
 
 
+class BoundExceeded(MaxMinError):
+    """A count exceeds the ceiling it is checked against."""
+
+
 class WindowTooShort(MaxMinError):
     """A digit-stream scan asked for a window longer than the valid prefix."""
 

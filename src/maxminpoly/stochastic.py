@@ -3,9 +3,10 @@
 All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
-scheduled across the workers of `census.run_shards`.  Each chunk is
-counted by the census tally, so a draw is classified exactly as a census
-vector is.  Every report records the generator identity.
+scheduled across the workers of `census.run_shards`.  Each draw is
+decided by the divisor search (`_tally`), the engine that the census's
+product sieve is tested against.  Every report records the generator
+identity.
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import census as census_mod
+from . import census as census_mod, factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
 from .core import MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
+from .factor import REDUCIBLE
 
 GENERATOR_ID = "numpy.PCG64"
 CHUNK = 2048
@@ -159,8 +161,28 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> census_mod.CensusRecord:
     """Census counts of one seed-derived trial chunk (order-free)."""
     rows = _draw_digits(rng, size, config).tolist()
-    draws = ((coeffs, 1, 1) for coeffs in map(_trim, rows) if coeffs)
-    return census_mod._tally(config.b, config.n, config.space, draws)
+    return _tally(config.b, config.n, config.space, (coeffs for coeffs in map(_trim, rows) if coeffs))
+
+
+def _tally(b: int, n: int, space: str, draws: Iterable[Sequence[int]]) -> census_mod.CensusRecord:
+    """Census counts of trimmed nonzero coefficient tuples, each decided by
+    the divisor search; the exhaustive census counts the same classes by
+    its product sieve."""
+    total = monomials = irreducible = reducible = candidates = primes = 0
+    for coeffs in draws:
+        total += 1
+        # a candidate monomial is the constant b-1, which is prime
+        candidate = coeffs[0] != 0 and max(coeffs) == b - 1
+        candidates += candidate
+        if len(coeffs) - coeffs.count(0) == 1:
+            monomials += 1
+            primes += candidate
+        elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
+            reducible += 1
+        else:
+            irreducible += 1
+            primes += candidate
+    return census_mod.CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from maxminpoly import census, core, factor
-from maxminpoly.errors import BudgetExceeded
+from maxminpoly.errors import BoundExceeded, BudgetExceeded
 from oracles import oracle_close_pairs, oracle_partition, oracle_reducible, product_table
 
 P = core.parse_poly
@@ -106,7 +106,7 @@ def test_merge_records_matches_full_run():
     assert merged == full
 
 
-# -- orbit counting against a per-vector tally -------------------------------------
+# -- the product sieve against a per-vector tally ----------------------------------
 
 # the largest n per base of the differential tests
 SIZES = {2: 12, 3: 7, 4: 5, 5: 4, 10: 3}
@@ -145,37 +145,45 @@ def test_census_matches_per_vector_tally(b, n, space):
     assert rec.reducible == sum(1 for vec in census.iter_vectors(b, n, space) if _trim(vec) in reducible)
 
 
-def _orbit_key(vec):
-    """The core of a nonzero vector (its digits between the first and the
-    last nonzero one) up to reversal."""
-    rev = _trim(_trim(vec)[::-1])
-    return min(rev, rev[::-1])
-
-
 @pytest.mark.parametrize("space", census.SPACES)
 @pytest.mark.parametrize("b, n", ((2, 7), (3, 4), (4, 3), (10, 3)))
-def test_each_orbit_is_counted_once_at_its_representative(b, n, space):
-    # group the per-vector tally by orbit: in the all-vectors space an orbit
-    # is every shift of a core and of its reversal, in the exact-degree
-    # space the one shift that reaches the leading digit
-    orbits = {}
-    for vec in census.iter_vectors(b, n, space):
-        if any(vec):
-            orbits.setdefault(_orbit_key(vec), []).append(vec)
-    counted = set()
-    palindromes = 0
+def test_each_index_counts_its_own_vector(b, n, space):
     for idx, vec in enumerate(census.iter_vectors(b, n, space)):
-        part = census.census_range(b, n, space, idx, idx + 1)
-        if part.total == 0:
-            assert part == census.CensusRecord(b, n, space, 0, 0, 0, 0, 0, 0)
-            continue
-        key = _orbit_key(vec)
-        assert key not in counted
-        counted.add(key)
-        palindromes += key == key[::-1] and len(key) > 1
-        assert part == _per_vector_record(b, n, space, orbits[key])
-    assert counted == set(orbits)
-    assert palindromes > 0
+        assert census.census_range(b, n, space, idx, idx + 1) == _per_vector_record(b, n, space, [vec])
+
+
+@pytest.mark.parametrize("b, top", ((2, 10), (3, 6), (4, 5), (10, 3)))
+def test_partition_sigma_is_the_census_reducible_count(b, top):
+    # the partition marks its own reducible flags from the same core products
+    for n in range(1, top + 1):
+        assert census.partition_census(b, n, census.BoundParams.make(2, 2)).sigma == census.census(b, n).reducible
+
+
+def test_census_makes_no_engine_call(tmp_path, monkeypatch):
+    expected = {(b, n, space): census.census(b, n, space) for b, n in ((2, 9), (3, 5)) for space in census.SPACES}
+
+    def engine(*args):
+        raise AssertionError("the census called the divisor search")
+
+    monkeypatch.setattr(factor, "_classify_generic", engine)
+    for (b, n, space), rec in expected.items():
+        assert census.census(b, n, space) == rec
+        assert census.census(b, n, space, workers=2) == rec
+        assert census.census_with_checkpoint(b, n, space, tmp_path / f"{b}-{n}-{space}.json") == rec
+
+
+def test_sieve_across_block_boundaries(monkeypatch):
+    # three rows or plane words a block: every factor family, product chunk
+    # and counted range spans several blocks, the last one short
+    cells = ((2, 8), (3, 5), (4, 4), (10, 3))
+    params = census.BoundParams.make(2, 2)
+    expected = {
+        (b, n): (census.census(b, n), census.census(b, n, census.EXACT_DEGREE), census.partition_census(b, n, params))
+        for b, n in cells
+    }
+    monkeypatch.setattr(census, "BLOCK_ROWS", 3)
+    for (b, n), want in expected.items():
+        assert (census.census(b, n), census.census(b, n, census.EXACT_DEGREE), census.partition_census(b, n, params)) == want
 
 
 @pytest.mark.parametrize("b", (3, 4, 10))
@@ -310,9 +318,7 @@ def test_checkpoint_write_is_atomic(tmp_path, monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_shards_without_representatives_survive_an_interruption(tmp_path, monkeypatch, workers):
-    # at b=2 n=8 the first 8 of the 16 shards lie below 2^7: every vector
-    # there has a zero constant term, so their partials are empty
+def test_checkpoint_survives_an_interruption(tmp_path, monkeypatch, workers):
     path = tmp_path / "census.json"
     replace = census.os.replace
     writes = []
@@ -328,15 +334,14 @@ def test_shards_without_representatives_survive_an_interruption(tmp_path, monkey
         census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     monkeypatch.undo()
     state = json.loads(path.read_text())
-    assert state["tally"] == "orbits"
-    assert [s["range_end"] for s in state["shards"]] == [16, 32, 48]
-    assert all(s["partial"]["total"] == 0 for s in state["shards"])
+    assert state["tally"] == "vectors"
+    # each shard counts the nonzero vectors of its own range
+    assert [(s["range_end"], s["partial"]["total"]) for s in state["shards"]] == [(16, 15), (32, 16), (48, 16)]
     rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec == census.census(2, 8)
     state = json.loads(path.read_text())
     ranges = sorted((s["range_start"], s["range_end"]) for s in state["shards"])
     assert [r[0] for r in ranges] == [0] + [r[1] for r in ranges[:-1]] and ranges[-1][1] == 2**8
-    assert sum(s["partial"]["total"] == 0 for s in state["shards"]) == 8
 
 
 def _checkpoint(tmp_path):
@@ -388,16 +393,18 @@ def test_checkpoint_rejects_counts_that_do_not_add_up(tmp_path):
 
 
 def test_checkpoint_rejects_a_per_vector_tally(tmp_path):
-    # the layout written when each shard classified its own vectors: the
-    # same ranges and partials, no tally marker
+    # the layouts of earlier tallies, with this census's ranges and counts:
+    # no marker (each shard counted its own vectors before the orbit tally)
+    # and the orbit tally's marker
     path, state = _checkpoint(tmp_path)
-    del state["tally"]
     for entry in state["shards"]:
         vectors = census.iter_vectors(2, 6, census.ALL_VECTORS, entry["range_start"], entry["range_end"])
-        entry["partial"] = dataclasses.asdict(_per_vector_record(2, 6, census.ALL_VECTORS, vectors))
-    path.write_text(json.dumps(state))
-    with pytest.raises(ValueError, match="different census, shard size, tally or version"):
-        census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
+        assert entry["partial"] == dataclasses.asdict(_per_vector_record(2, 6, census.ALL_VECTORS, vectors))
+    for marker in (None, "orbits"):
+        header = {key: value for key, value in state.items() if key != "tally"}
+        path.write_text(json.dumps(header if marker is None else {**header, "tally": marker}))
+        with pytest.raises(ValueError, match="different census, shard size, tally or version"):
+            census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
 
 
 # -- closed forms -----------------------------------------------------------------
@@ -450,6 +457,13 @@ def test_close_pair_count_across_block_boundaries(monkeypatch):
         for k in range(1, n):
             for d in (0, 1, 2):
                 assert census.close_pair_count(n, k, d) == oracle_close_pairs(n, k, d), (n, k, d)
+
+
+def test_close_pair_count_over_the_bound_is_a_domain_error():
+    # k=1, d=0 passes the n^(2d+2) * 2^k ceiling from n = 15 on
+    with pytest.raises(BoundExceeded, match="close-pair count 470 exceeds the bound .* = 450$"):
+        census.close_pair_count(15, 1, 0)
+    assert oracle_close_pairs(15, 1, 0) == 470
 
 
 def test_close_pair_validation(monkeypatch):

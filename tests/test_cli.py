@@ -2,10 +2,18 @@
 
 import dataclasses
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from maxminpoly import __version__, census, cli, core, factor, series
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -145,23 +153,19 @@ def test_density_exhaustive_honours_threads(capsys):
 
 @pytest.fixture
 def pools(tmp_path, monkeypatch):
-    """The keyword arguments of each process pool built, with the pool
+    """The worker count of each process pool built, with the pool
     replaced by one that runs the jobs in-process."""
     built = []
 
     class RecordingPool:
-        def __init__(self, *args, **kwargs):
-            assert not args
-            built.append(kwargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def __init__(self, max_workers, initializer, initargs):
+            built.append({"max_workers": max_workers})
 
         def map(self, fn, *iterables):
             return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
@@ -184,10 +188,11 @@ def test_threaded_runs_build_one_pool(argv, threads, pools, capsys):
 
 
 def test_pool_is_no_larger_than_the_job_list(pools, capsys):
-    # b=2 n=2 is four one-vector shards; one 2048-draw chunk runs in-process
-    run_json(capsys, "census", "--b", "2", "--n", "2", "--threads", "64")
+    # the b=2 n=4 sieve is two degrees, 3 and 2; one 2048-draw chunk runs
+    # in-process
+    run_json(capsys, "census", "--b", "2", "--n", "4", "--threads", "64")
     run_json(capsys, "density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--threads", "2")
-    assert pools == [{"max_workers": 4}]
+    assert pools == [{"max_workers": 2}]
 
 
 def test_resume_with_threads_writes_the_shard_plan(pools, tmp_path, capsys):
@@ -222,17 +227,80 @@ def _resume_fails_in_one_line(capsys, path, n):
 
 def test_resume_rejects_a_per_vector_checkpoint(tmp_path, capsys):
     # the header and partials written when each shard counted its own
-    # vectors: the same shard plan, no tally marker
+    # vectors before the orbit tally: the same shard plan, no tally marker
     path = tmp_path / "ck.json"
     header = {"b": 2, "n": 8, "space": census.ALL_VECTORS, "shard_size": 16, "version": __version__}
     shards = []
     for start in range(0, 2**8, 16):
-        vectors = map(core._trim, census.iter_vectors(2, 8, census.ALL_VECTORS, start, start + 16))
-        part = census._tally(2, 8, census.ALL_VECTORS, ((c, 1, 1) for c in vectors if c))
+        part = census.census_range(2, 8, census.ALL_VECTORS, start, start + 16)
         shards.append({"range_start": start, "range_end": start + 16, "partial": dataclasses.asdict(part)})
     assert sum(s["partial"]["total"] for s in shards) == 2**8 - 1
     path.write_text(json.dumps({**header, "shards": shards}))
     assert "tally" in _resume_fails_in_one_line(capsys, path, 8)
+    # and the orbit tally's header
+    path.write_text(json.dumps({**header, "tally": "orbits", "shards": shards}))
+    assert "tally" in _resume_fails_in_one_line(capsys, path, 8)
+
+
+# `census --resume` with each sieve degree slowed down and recorded as it
+# starts and as it ends; the forked workers find the slowed function in
+# __main__
+SLOW_SIEVE = """
+import sys, time
+from pathlib import Path
+from maxminpoly import census, cli
+
+sieve = census._sieve_degree
+
+
+def slow_sieve(b, m):
+    Path(sys.argv[1], f"{m}.start").touch()
+    time.sleep(0.2)
+    Path(sys.argv[1], f"{m}.end").touch()
+    return sieve(b, m)
+
+
+census._sieve_degree = slow_sieve
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_interrupted_threaded_resume_ends_and_keeps_the_checkpoint(tmp_path):
+    # Ctrl-C, a SIGINT to the whole process group, once the pool runs a
+    # degree: the run must end, where a hang fails at the timeout, let the
+    # running degrees finish, skip the ones not yet started and leave the
+    # checkpoint as it was, here one with no shard counted yet
+    path, started = tmp_path / "ck.json", tmp_path / "started"
+    started.mkdir()
+    header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 2**10, "tally": "vectors", "version": __version__}
+    before = json.dumps({**header, "shards": []})
+    path.write_text(before)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    argv = ["census", "--b", "2", "--n", "14", "--resume", str(path), "--threads", "2"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", SLOW_SIEVE, str(started), *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(started.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode != 0 and out == b""
+    assert b"KeyboardInterrupt" in err, err.decode()[-2000:]
+    marks = {p.name for p in started.iterdir()}
+    degrees = {name.split(".")[0] for name in marks}
+    assert marks == {f"{m}.{end}" for m in degrees for end in ("start", "end")}
+    # 12 degrees, 13 down to 2: the pending ones were cancelled
+    assert 0 < len(degrees) < 12
+    assert path.read_text() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "started"]
 
 
 @pytest.mark.parametrize("tamper", ("range_end", "total"))
@@ -340,6 +408,13 @@ def test_partition_overflowing_bound_is_null(d, v, capsys):
 def test_close_pairs(capsys):
     rep = run_json(capsys, "close-pairs", "--n", "8", "--k", "3", "--d", "2")
     assert rep["holds"] is True
+
+
+def test_close_pairs_over_the_bound_is_one_line_domain_error(capsys):
+    code = cli.main(["close-pairs", "--n", "15", "--k", "1", "--d", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.strip() == "BoundExceeded: close-pair count 470 exceeds the bound n^(2d+2) * 2^k = 450"
 
 
 def test_density_requires_seed(capsys):
