@@ -16,21 +16,25 @@ enough to mark every product of two cores (`_core_products`), one degree
 of the product at a time (`_sieve_degree`), and to copy each core's flag
 to its shifts (`_spread_shifts`): b^n booleans, one per all-vectors
 index (`_reducible_flags`).  The counts of an index range then follow
-from those flags and from the digits of its vectors with numpy
-reductions (`_count_range`); no vector is decided one at a time.  With
+from those flags and from the digit counts of its vectors with numpy
+reductions (`_count_range`, the one count rule); no vector is decided
+one at a time.  A vector's number of digits >= s is read from tables of
+its high and its low digits (`_level_counts`), and `_index_rows` is the
+one decoder of indices to digit rows, `iter_vectors` included.  With
 more than one worker the degrees run on worker processes, and their
 parts merge by union.
 
-`_jobs` is the one shard plan of the checkpointed census: SHARDS ranges
-of the full space fixed by (b, n, space) alone, so a checkpoint resumes
-at any worker count.  A shard counts the vectors of its range, and the
-checkpoint header carries the tally marker "vectors", so a checkpoint of
-the earlier orbit tally is rejected, not merged.  `run_shards` runs the
-sieve's degrees and the density sampler's chunks.
+`_jobs` is the one shard plan of the checkpointed census: SHARDS index
+ranges (start, end) of the full space fixed by (b, n, space) alone, so a
+checkpoint resumes at any worker count.  A shard counts the vectors of
+its range, and the checkpoint header carries the tally marker "vectors",
+so a checkpoint of the earlier orbit tally is rejected, not merged.
+`run_shards` runs the sieve's degrees and the density sampler's chunks.
 
 The partition census splits the same space into seven deviation classes
 keyed on support sizes and factorization shapes, evaluating the explicit
-tail bound attached to each class; it reads the same core products.
+tail bound attached to each class; it reads the same core products
+and the same digit-count tables.
 Enumeration order is lexicographic on the coefficient vectors, so shard
 ranges are well-defined and resumable.
 
@@ -69,7 +73,6 @@ EXACT_DEGREE = "exact-degree"
 SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 DEFAULT_BUDGET = 200_000_000
-BUDGET_ENV_VAR = "MINMAX_BUDGET"
 SHARDS = 16
 # rows of one block of factors or vectors in the enumerations and counts;
 # a block of products holds at most this many plane words
@@ -77,11 +80,9 @@ BLOCK_ROWS = 1 << 16
 
 
 def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
-    """Raise BudgetExceeded when count is over the MINMAX_BUDGET budget,
-    unless forced."""
-    limit = int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET))
-    if not force and count > limit:
-        raise BudgetExceeded(f"{what} exceed the budget of {limit}{unit}")
+    """Raise BudgetExceeded when count is over DEFAULT_BUDGET, unless forced."""
+    if not force and count > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{what} exceed the budget of {DEFAULT_BUDGET}{unit}")
 
 
 def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int = 1) -> Iterator:
@@ -157,42 +158,19 @@ def space_size(b: int, n: int, space: str) -> int:
     raise ValueError(f"unknown enumeration space {space!r}")
 
 
-def index_to_vector(b: int, n: int, space: str, idx: int) -> tuple[int, ...]:
-    """The idx-th length-n coefficient vector in lexicographic order."""
-    digits = [0] * n
-    if space == ALL_VECTORS:
-        for pos in range(n - 1, -1, -1):
-            idx, digits[pos] = divmod(idx, b)
-    elif space == EXACT_DEGREE:
-        idx, last = divmod(idx, b - 1)
-        digits[n - 1] = last + 1
-        for pos in range(n - 2, -1, -1):
-            idx, digits[pos] = divmod(idx, b)
-    else:
-        raise ValueError(f"unknown enumeration space {space!r}")
-    return tuple(digits)
-
-
 def iter_vectors(b: int, n: int, space: str, start: int = 0, end: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Lexicographic stream of coefficient vectors over an index range."""
+    """Lexicographic stream of coefficient vectors over an index range,
+    decoded a block of BLOCK_ROWS vectors at a time; zip groups the
+    block's digit bytes n at a time into tuples of ints."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     size = space_size(b, n, space)
     if end is None:
         end = size
     if not 0 <= start <= end <= size:
         raise ValueError("index range out of bounds")
-    if start == end:
-        return
-    digits = list(index_to_vector(b, n, space, start))
-    for _ in range(start, end):
-        yield tuple(digits)
-        pos = n - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < b:
-                break
-            # the leading digit of the exact-degree space wraps to 1, not 0
-            digits[pos] = 1 if (space == EXACT_DEGREE and pos == n - 1) else 0
-            pos -= 1
+    for lo in range(start, end, BLOCK_ROWS):
+        yield from zip(*[iter(_index_rows(b, n, space, lo, min(lo + BLOCK_ROWS, end)).tobytes())] * n)
 
 
 def enumerate_polys(b: int, n: int, space: str = ALL_VECTORS) -> Iterator[MaxMinPoly]:
@@ -214,22 +192,13 @@ def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
     _check_budget(b**n, f"{b}^{n} vectors", force, " vectors")
 
 
-def _jobs(b: int, n: int, space: str) -> list[tuple[int, int, str, int, int]]:
-    """The census shard plan: at most SHARDS lexicographic ranges of
-    ceil(size / SHARDS) vectors each, the last one possibly shorter."""
+def _jobs(b: int, n: int, space: str) -> list[tuple[int, int]]:
+    """The census shard plan: at most SHARDS lexicographic ranges
+    (start, end) of ceil(size / SHARDS) vectors each, the last one possibly
+    shorter."""
     size = space_size(b, n, space)
     step = -(-size // SHARDS)
-    return [(b, n, space, s, min(s + step, size)) for s in range(0, size, step)]
-
-
-def census_range(b: int, n: int, space: str, start: int, end: int) -> CensusRecord:
-    """Census counts of the vectors in a lexicographic index range; the
-    sieve runs over the whole space, as a vector's core can lie outside
-    the range."""
-    check_enumeration(b, n, space)
-    if not 0 <= start <= end <= space_size(b, n, space):
-        raise ValueError("index range out of bounds")
-    return _count_range(b, n, space, start, end, _reducible_flags(b, n))
+    return [(s, min(s + step, size)) for s in range(0, size, step)]
 
 
 def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force: bool = False) -> CensusRecord:
@@ -310,24 +279,19 @@ def _reducible_flags(b: int, n: int, workers: int = 1) -> np.ndarray:
 
 def _count_range(b: int, n: int, space: str, start: int, end: int, reducible: np.ndarray) -> CensusRecord:
     """Census counts of an index range, in blocks, from the all-vectors
-    `reducible` flags and the support size and largest digit of each
-    vector, read for its high and its low digits from tables."""
-    low = n // 2
-    high_nnz, high_max = _digit_stats(b, n - low)
-    low_nnz, low_max = _digit_stats(b, low)
+    `reducible` flags and the digit counts of each vector."""
     total = monomials = red = candidates = primes = 0
     for lo in range(start, end, BLOCK_ROWS):
         idx = np.arange(lo, min(lo + BLOCK_ROWS, end), dtype=np.int64)
         if space == EXACT_DEGREE:
             q, r = np.divmod(idx, b - 1)
             idx = q * b + r + 1
-        upper, lower = np.divmod(idx, b**low)
-        nnz = high_nnz[upper] + low_nnz[lower]
+        nnz, top = _level_counts(b, n, idx, 1, b - 1)
         flags = reducible[idx]
         # a candidate has a nonzero constant term, the leading digit of
         # the index, and a digit b-1; a candidate monomial is the constant
         # b-1, which is prime
-        candidate = (idx >= b ** (n - 1)) & (np.maximum(high_max[upper], low_max[lower]) == b - 1)
+        candidate = (idx >= b ** (n - 1)) & (top > 0)
         total += int(np.count_nonzero(nnz))
         monomials += int(np.count_nonzero(nnz == 1))
         red += int(np.count_nonzero(flags))
@@ -336,11 +300,20 @@ def _count_range(b: int, n: int, space: str, start: int, end: int, reducible: np
     return CensusRecord(b, n, space, total, monomials, total - monomials - red, red, candidates, primes)
 
 
-def _digit_stats(b: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per all-vectors index of k digits, the vector's support size and
-    its largest digit."""
-    digits = _index_rows(b, k, ALL_VECTORS, 0, b**k)
-    return np.count_nonzero(digits, axis=1), digits.max(axis=1, initial=0)
+def _level_counts(b: int, n: int, idx: np.ndarray, *levels: int) -> list[np.ndarray]:
+    """Per level s and per all-vectors index in idx, the number of digits
+    >= s of its vector of n digits, read from tables of its high and its
+    low digits.  The table of k digits is built from that of k-1: index
+    i*b + d adds the digit d to the vector of index i."""
+    low = n // 2
+    upper, lower = np.divmod(idx, b**low)
+    counts = []
+    for s in levels:
+        tables = [np.zeros(1, dtype=np.uint8)]
+        for _ in range(n - low):
+            tables.append((tables[-1][:, None] + (np.arange(b) >= s)).ravel())
+        counts.append(tables[n - low][upper] + tables[low][lower])
+    return counts
 
 
 # -- checkpointed census ------------------------------------------------------
@@ -369,7 +342,7 @@ def census_with_checkpoint(
     path = Path(path)
     jobs = _jobs(b, n, space)
     # the first shard starts at 0, so its end is the plan's step
-    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][4], "tally": "vectors", "version": __version__}
+    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][1], "tally": "vectors", "version": __version__}
     entries: list = []
     if path.exists():
         state = json.loads(path.read_text())
@@ -379,12 +352,12 @@ def census_with_checkpoint(
         if not isinstance(entries, list):
             raise ValueError(f"checkpoint {path} has no list of shards")
     shards = dict(_read_shard(path, (b, n, space), entry) for entry in entries)
-    if len(shards) != len(entries) or not {job[3:] for job in jobs}.issuperset(shards):
+    if len(shards) != len(entries) or not set(jobs).issuperset(shards):
         raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
-    jobs = [job for job in jobs if job[3:] not in shards]
+    jobs = [job for job in jobs if job not in shards]
     reducible = _reducible_flags(b, n, workers) if jobs else None
     tmp = Path(f"{path}.tmp")
-    for _, _, _, start, end in jobs:
+    for start, end in jobs:
         partial = shards[start, end] = _count_range(b, n, space, start, end, reducible)
         entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
         tmp.write_text(json.dumps({**header, "shards": entries}))
@@ -499,16 +472,21 @@ class PartitionCensus:
 
 
 def _index_rows(b: int, n: int, space: str, start: int, end: int) -> np.ndarray:
-    """The vectors of an index range as uint8 digit rows; the block form of
-    index_to_vector."""
+    """The vectors of a lexicographic index range as uint8 digit rows, the
+    one index decoder.  It decodes in int64, which covers spaces below
+    2^63 vectors."""
+    exact = space == EXACT_DEGREE
     idx = np.arange(start, end, dtype=np.int64)
     digits = np.empty((end - start, n), dtype=np.uint8)
-    if space == EXACT_DEGREE:
-        idx, last = np.divmod(idx, b - 1)
-        digits[:, n - 1] = last + 1
-        n -= 1
     for pos in range(n - 1, -1, -1):
-        idx, digits[:, pos] = np.divmod(idx, b)
+        # an exact-degree leading digit is 1 + a digit of radix b-1; numpy
+        # divides by a scalar faster than np.divmod does
+        radix = b - 1 if exact and pos == n - 1 else b
+        q = idx // radix
+        digits[:, pos] = idx - q * radix
+        idx = q
+    if exact:
+        digits[:, n - 1] += 1
     return digits
 
 
@@ -598,13 +576,13 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     # the zero vector, index 0, is in no class
     for lo in range(1, size, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, size)
-        digits = _index_rows(b, n, ALL_VECTORS, lo, hi)
+        nnz, nnz_a = _level_counts(b, n, np.arange(lo, hi, dtype=np.int64), 1, a)
         red = reducible[lo:hi]
         cls = np.select(
             [
-                far1[np.count_nonzero(digits, axis=1)],
+                far1[nnz],
                 pair1[lo:hi],
-                far_a[np.count_nonzero(digits >= a, axis=1)],
+                far_a[nnz_a],
                 pair_a[lo:hi],
                 low_deg[lo:hi],
                 thin[lo:hi],

@@ -228,17 +228,17 @@ def _times(q: int, terms: Iterable[tuple[int, Sequence[int]]]) -> int:
     return prod
 
 
-_ONES = np.uint64(2**64 - 1)
-
-
 def _pack_rows(b: int, digits: np.ndarray) -> np.ndarray:
     """The block form of _pack: digit rows (one coefficient tuple per row,
     at most 64 coefficients) as plane words, row s-1 holding plane
     s = {k : c_k >= s} of each digit row, s = 1..b-1, with bit k for
-    coefficient k."""
-    levels = np.arange(1, b, dtype=digits.dtype)[:, None, None]
-    bits = (digits >= levels).astype(np.uint64)
-    return (bits << np.arange(digits.shape[1], dtype=np.uint64)).sum(axis=2, dtype=np.uint64)
+    coefficient k.  The words are built one coefficient position at a
+    time, so no temporary holds a word per digit."""
+    words = np.zeros((b - 1, len(digits)), dtype=np.uint64)
+    levels = np.arange(1, b, dtype=digits.dtype)[:, None]
+    for k in range(digits.shape[1]):
+        words |= (digits[:, k] >= levels).astype(np.uint64) << np.uint64(k)
+    return words
 
 
 def _times_block(block: np.ndarray, gs: np.ndarray) -> np.ndarray:
@@ -247,15 +247,19 @@ def _times_block(block: np.ndarray, gs: np.ndarray) -> np.ndarray:
     factor, as _pack_rows makes them), in an array of shape (len(gs),
     planes, factors).  Plane s of a product is the OR of (plane s of f) << j
     over the j with g_j >= s, so per position j the block is shifted once
-    and kept, for each g, in its planes 1..g_j.  Needs len(f) + len(g) - 1
-    <= 64."""
+    and ORed, for each g, into its planes 1..g_j.  Needs len(f) + len(g) - 1
+    <= 64.
+
+    The shifted block is one buffer and the OR is masked in place, so no
+    position allocates a temporary of the products' size: freed at every
+    position, such temporaries make the allocator hand heap pages back
+    and fault them in again (36k page faults in a b=10 n=5 census)."""
     prod = np.zeros((len(gs), *block.shape), dtype=np.uint64)
-    part = np.empty_like(prod)
+    shifted = np.empty_like(block)
     levels = np.arange(1, len(block) + 1)
     for j in range(gs.shape[1]):
-        keep = np.where(gs[:, j, None] >= levels, _ONES, np.uint64(0))
-        np.bitwise_and(block << np.uint64(j), keep[:, :, None], out=part)
-        prod |= part
+        np.left_shift(block, np.uint64(j), out=shifted)
+        np.bitwise_or(prod, shifted, out=prod, where=(gs[:, j, None] >= levels)[:, :, None])
     return prod
 
 

@@ -220,16 +220,15 @@ def _members(z: ZWindowSet, nonzero: np.ndarray, windows: int) -> np.ndarray:
     return ok
 
 
-def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Sequence[int]]]) -> int:
-    """Total overlapping occurrences of every window in z."""
-    if isinstance(z, ZWindowSet):
-        r = z.r
-        if r > stream.valid_to:
-            raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
-        return int(np.count_nonzero(_members(z, _prefix(stream) != 0, stream.valid_to - r + 1)))
+def _explicit_windows(stream: DigitStream, z: Iterable[Sequence[int]]) -> tuple[int, set[bytes]]:
+    """An explicit window set as (r, the distinct windows that can occur in
+    the stream, as bytes): every window has the one length r, with
+    1 <= r <= valid_to, and a window with a digit outside 0..b-1 is
+    dropped, as no window of the stream matches it.  An empty set gives
+    (0, set())."""
     patterns = [tuple(p) for p in z]
     if not patterns:
-        return 0
+        return 0, set()
     lengths = {len(p) for p in patterns}
     if len(lengths) != 1:
         raise ValueError("all windows in an explicit set must share one length")
@@ -238,11 +237,26 @@ def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Seq
         raise WindowTooShort("windows must be nonempty")
     if r > stream.valid_to:
         raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
-    # a window is r digits in 0..b-1, so no other pattern can match it
     digit = range(stream.base)
-    pats = {bytes(map(int, p)) for p in patterns if all(x in digit for x in p)}
+    return r, {bytes(map(int, p)) for p in patterns if all(x in digit for x in p)}
+
+
+def _count_windows(stream: DigitStream, r: int, windows: set[bytes]) -> int:
+    """Overlapping occurrences of the length-r byte windows in the valid prefix."""
+    if not windows:
+        return 0
     d = _prefix(stream).tobytes()
-    return sum(1 for start in range(stream.valid_to - r + 1) if d[start : start + r] in pats)
+    return sum(1 for start in range(stream.valid_to - r + 1) if d[start : start + r] in windows)
+
+
+def count_set_occurrences(stream: DigitStream, z: Union[ZWindowSet, Iterable[Sequence[int]]]) -> int:
+    """Total overlapping occurrences of every window in z."""
+    if isinstance(z, ZWindowSet):
+        r = z.r
+        if r > stream.valid_to:
+            raise WindowTooShort(f"window length {r} exceeds valid prefix {stream.valid_to}")
+        return int(np.count_nonzero(_members(z, _prefix(stream) != 0, stream.valid_to - r + 1)))
+    return _count_windows(stream, *_explicit_windows(stream, z))
 
 
 # -- forbidden-string diagnostics ----------------------------------------------
@@ -400,14 +414,14 @@ def z_frequency_report(h: DigitStream, z: Union[ZWindowSet, Iterable[Sequence[in
     if isinstance(z, ZWindowSet):
         r = z.r
         expectation = float(z.expected_frequency(h.base))
+        occurrences = count_set_occurrences(h, z)
     else:
-        z = [tuple(p) for p in z]
-        lengths = {len(p) for p in z}
-        if len(lengths) != 1:
-            raise ValueError("all windows in an explicit set must share one length")
-        (r,) = lengths
-        expectation = len(set(z)) / h.base**r
-    occurrences = count_set_occurrences(h, z)
+        r, patterns = _explicit_windows(h, z)
+        if not r:
+            raise ValueError("an explicit window set must not be empty")
+        # the windows that can occur, so that every window of length r gives 1
+        expectation = len(patterns) / h.base**r
+        occurrences = _count_windows(h, r, patterns)
     windows = h.valid_to - r + 1
     return FrequencyReport(occurrences / windows, expectation, windows, occurrences)
 

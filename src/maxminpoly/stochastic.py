@@ -3,10 +3,12 @@
 All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
-scheduled across the workers of `census.run_shards`.  Each draw is
-decided by the divisor search (`_tally`), the engine that the census's
-product sieve is tested against.  Every report records the generator
-identity.
+scheduled across the workers of `census.run_shards`.  A density chunk
+counts its irreducible draws (`_density_chunk`), each nonzero
+non-monomial draw decided by the divisor search, the engine that the
+census's product sieve is tested against.  The census's classes,
+candidates and primes are counted by `census._count_range` alone.
+Every report records the generator identity.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -158,31 +160,16 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
     return (lo, hi)
 
 
-def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> census_mod.CensusRecord:
-    """Census counts of one seed-derived trial chunk (order-free)."""
+def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> int:
+    """The number of irreducible draws of one seed-derived trial chunk
+    (order-free): nonzero non-monomials that the divisor search finds no
+    factorization of."""
     rows = _draw_digits(rng, size, config).tolist()
-    return _tally(config.b, config.n, config.space, (coeffs for coeffs in map(_trim, rows) if coeffs))
-
-
-def _tally(b: int, n: int, space: str, draws: Iterable[Sequence[int]]) -> census_mod.CensusRecord:
-    """Census counts of trimmed nonzero coefficient tuples, each decided by
-    the divisor search; the exhaustive census counts the same classes by
-    its product sieve."""
-    total = monomials = irreducible = reducible = candidates = primes = 0
-    for coeffs in draws:
-        total += 1
-        # a candidate monomial is the constant b-1, which is prime
-        candidate = coeffs[0] != 0 and max(coeffs) == b - 1
-        candidates += candidate
-        if len(coeffs) - coeffs.count(0) == 1:
-            monomials += 1
-            primes += candidate
-        elif factor._classify_generic(b, coeffs)[0] == REDUCIBLE:
-            reducible += 1
-        else:
-            irreducible += 1
-            primes += candidate
-    return census_mod.CensusRecord(b, n, space, total, monomials, irreducible, reducible, candidates, primes)
+    return sum(
+        1
+        for coeffs in map(_trim, rows)
+        if len(coeffs) - coeffs.count(0) > 1 and factor._classify_generic(config.b, coeffs)[0] != REDUCIBLE
+    )
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:
@@ -192,7 +179,7 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, wo
     reproducing the census fraction exactly (trials is ignored).  Trial
     chunks carry seed-derived substreams, so the result is independent of
     the worker count.  Zero draws count as trials, though the census
-    tally skips them.
+    skips them.
     """
     b, n = config.b, config.n
     if exhaustive:
@@ -201,7 +188,7 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, wo
         lo, hi = wilson_interval(rec.irreducible, rec.total)
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
     jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
-    hits = sum(rec.irreducible for rec in census_mod.run_shards(_density_chunk, jobs, workers))
+    hits = sum(census_mod.run_shards(_density_chunk, jobs, workers))
     lo, hi = wilson_interval(hits, config.trials)
     return DensityReport(hits / config.trials, lo, hi, config.trials, hits, False)
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import random
@@ -36,14 +37,59 @@ def test_enumeration_is_lexicographic():
 
 
 def test_index_round_trip():
-    for space in census.SPACES:
-        for idx, vec in enumerate(census.iter_vectors(3, 3, space)):
-            assert census.index_to_vector(3, 3, space, idx) == vec
+    # the index read back from a vector's digits is its place in the stream,
+    # and a one-index range decodes to the same vector
+    def value(digits, b):
+        return functools.reduce(lambda acc, d: acc * b + d, digits, 0)
+
+    for b, n in ((3, 3), (2, 5), (10, 2)):
+        for space in census.SPACES:
+            for idx, vec in enumerate(census.iter_vectors(b, n, space)):
+                if space == census.ALL_VECTORS:
+                    assert value(vec, b) == idx
+                else:
+                    assert value(vec[:-1], b) * (b - 1) + vec[-1] - 1 == idx
+                assert tuple(census._index_rows(b, n, space, idx, idx + 1)[0].tolist()) == vec
 
 
 def test_iter_vectors_range_matches_slices():
     full = list(census.iter_vectors(2, 4, census.ALL_VECTORS))
     assert list(census.iter_vectors(2, 4, census.ALL_VECTORS, 5, 11)) == full[5:11]
+
+
+def _lexicographic(b, n, space):
+    vectors = itertools.product(range(b), repeat=n)
+    return [v for v in vectors if space == census.ALL_VECTORS or v[-1]]
+
+
+@pytest.mark.parametrize("block_rows", (None, 3))
+@pytest.mark.parametrize("space", census.SPACES)
+@pytest.mark.parametrize("b, n", ((2, 1), (2, 9), (3, 5), (4, 4), (10, 3)))
+def test_iter_vectors_matches_product_oracle(monkeypatch, b, n, space, block_rows):
+    if block_rows:
+        monkeypatch.setattr(census, "BLOCK_ROWS", block_rows)
+    want = _lexicographic(b, n, space)
+    got = list(census.iter_vectors(b, n, space))
+    assert got == want and all(type(d) is int for v in got[:5] for d in v)
+    size = len(want)
+    for start, end in ((0, 0), (size, size), (1, 1), (0, 1), (1, size - 1), (size // 3, size // 2), (size - 1, size)):
+        if start <= end:
+            assert list(census.iter_vectors(b, n, space, start, end)) == want[start:end]
+
+
+def test_iter_vectors_is_lazy_and_checks_its_range():
+    # the range is checked on the first draw, and a space far too large to
+    # decode whole gives its first vectors one block in
+    with pytest.raises(ValueError, match="index range out of bounds"):
+        next(census.iter_vectors(2, 4, census.ALL_VECTORS, 5, 17))
+    with pytest.raises(ValueError, match="index range out of bounds"):
+        next(census.iter_vectors(2, 4, census.ALL_VECTORS, 6, 5))
+    # a block of rows of no digits has no bytes for zip to group
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        next(census.iter_vectors(2, 0, census.ALL_VECTORS))
+    vectors = census.iter_vectors(2, 40, census.EXACT_DEGREE)
+    assert next(vectors) == (0,) * 39 + (1,)
+    assert next(vectors) == (0,) * 38 + (1, 1)
 
 
 # -- census --------------------------------------------------------------------
@@ -90,7 +136,7 @@ def test_census_prime_example(census_cache):
 
 
 def test_budget_guard(monkeypatch):
-    monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
+    monkeypatch.setattr(census, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded, match="2\\^10 vectors exceed the budget of 100 vectors"):
         census.census(2, 10)
     assert census.census(2, 10, force=True).total == 1023
@@ -100,8 +146,9 @@ def test_merge_records_matches_full_run():
     full = census.census(3, 4)
     size = census.space_size(3, 4, census.ALL_VECTORS)
     merged = census.CensusRecord(3, 4, census.ALL_VECTORS, 0, 0, 0, 0, 0, 0)
+    reducible = census._reducible_flags(3, 4)
     for start in range(0, size, 17):
-        part = census.census_range(3, 4, census.ALL_VECTORS, start, min(start + 17, size))
+        part = census._count_range(3, 4, census.ALL_VECTORS, start, min(start + 17, size), reducible)
         merged = census.merge_records(merged, part)
     assert merged == full
 
@@ -148,8 +195,9 @@ def test_census_matches_per_vector_tally(b, n, space):
 @pytest.mark.parametrize("space", census.SPACES)
 @pytest.mark.parametrize("b, n", ((2, 7), (3, 4), (4, 3), (10, 3)))
 def test_each_index_counts_its_own_vector(b, n, space):
+    reducible = census._reducible_flags(b, n)
     for idx, vec in enumerate(census.iter_vectors(b, n, space)):
-        assert census.census_range(b, n, space, idx, idx + 1) == _per_vector_record(b, n, space, [vec])
+        assert census._count_range(b, n, space, idx, idx + 1, reducible) == _per_vector_record(b, n, space, [vec])
 
 
 @pytest.mark.parametrize("b, top", ((2, 10), (3, 6), (4, 5), (10, 3)))
@@ -208,11 +256,11 @@ def test_class_is_invariant_under_reversal(b):
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_run_shards_keeps_job_order(workers):
-    # the first shard is the largest, so with two workers it finishes last
-    jobs = [(2, 12, census.ALL_VECTORS, s, e) for s, e in ((0, 3000), (3000, 3010), (3010, 3100), (3100, 3101))]
-    parts = list(census.run_shards(census.census_range, jobs, workers))
-    assert parts == [census.census_range(*job) for job in jobs]
-    assert list(census.run_shards(census.census_range, [], workers)) == []
+    # the first job is the largest, so with two workers it finishes last
+    jobs = [(2, 16, census.ALL_VECTORS), (2, 3, census.ALL_VECTORS), (3, 4, census.EXACT_DEGREE), (2, 1, census.ALL_VECTORS)]
+    parts = list(census.run_shards(census.census, jobs, workers))
+    assert parts == [census.census(*job) for job in jobs]
+    assert list(census.run_shards(census.census, [], workers)) == []
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -262,10 +310,9 @@ def test_shard_plan_is_contiguous(b, n, space):
     size = census.space_size(b, n, space)
     step = -(-size // census.SHARDS)
     assert len(jobs) <= census.SHARDS
-    assert all(job[4] - job[3] == step for job in jobs[:-1])
-    assert [job[:3] for job in jobs] == [(b, n, space)] * len(jobs)
-    assert [job[3] for job in jobs] == [0] + [job[4] for job in jobs[:-1]]
-    assert jobs[-1][4] == size
+    assert all(end - start == step for start, end in jobs[:-1])
+    assert [start for start, _ in jobs] == [0] + [end for _, end in jobs[:-1]]
+    assert jobs[-1][1] == size
 
 
 def test_checkpoint_resumes_at_another_worker_count(tmp_path):
@@ -288,7 +335,7 @@ def test_checkpoint_rejects_repeated_or_foreign_shards(tmp_path, extra):
     if extra == "duplicate":
         state["shards"].append(state["shards"][0])
     else:
-        part = census.census_range(2, 8, census.ALL_VECTORS, 0, 7)
+        part = census._count_range(2, 8, census.ALL_VECTORS, 0, 7, census._reducible_flags(2, 8))
         state["shards"].append({"range_start": 0, "range_end": 7, "partial": dataclasses.asdict(part)})
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError, match="repeated shards or shards outside the plan"):
@@ -474,7 +521,7 @@ def test_close_pair_validation(monkeypatch):
     # a product of n+1 bits must fit one 64-bit word, forced or not
     with pytest.raises(ValueError, match="n <= 63"):
         census.close_pair_count(64, 3, 1, force=True)
-    monkeypatch.setenv(census.BUDGET_ENV_VAR, "100")
+    monkeypatch.setattr(census, "DEFAULT_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
         census.close_pair_count(30, 3, 1)
 

@@ -209,7 +209,7 @@ def test_resume_rejects_an_older_shard_layout(tmp_path, capsys):
     # the header a fixed 2^16-vector shard size wrote at b=2 n=14
     path = tmp_path / "ck.json"
     header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 65536, "version": __version__}
-    part = census.census_range(2, 14, census.ALL_VECTORS, 0, 2**14)
+    part = census._count_range(2, 14, census.ALL_VECTORS, 0, 2**14, census._reducible_flags(2, 14))
     path.write_text(json.dumps({**header, "shards": [{"range_start": 0, "range_end": 2**14, "partial": dataclasses.asdict(part)}]}))
     code = cli.main(["census", "--b", "2", "--n", "14", "--resume", str(path)])
     captured = capsys.readouterr()
@@ -231,8 +231,9 @@ def test_resume_rejects_a_per_vector_checkpoint(tmp_path, capsys):
     path = tmp_path / "ck.json"
     header = {"b": 2, "n": 8, "space": census.ALL_VECTORS, "shard_size": 16, "version": __version__}
     shards = []
+    reducible = census._reducible_flags(2, 8)
     for start in range(0, 2**8, 16):
-        part = census.census_range(2, 8, census.ALL_VECTORS, start, start + 16)
+        part = census._count_range(2, 8, census.ALL_VECTORS, start, start + 16, reducible)
         shards.append({"range_start": start, "range_end": start + 16, "partial": dataclasses.asdict(part)})
     assert sum(s["partial"]["total"] for s in shards) == 2**8 - 1
     path.write_text(json.dumps({**header, "shards": shards}))

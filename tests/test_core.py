@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +165,21 @@ def test_term_list_product_matches_reference(b):
             packed = core._times(core._pack(b, q, width), core._terms(g, width))
             assert core._unpack(packed, width, len(want)) == want
             assert packed == core._pack(b, want, width)
+
+
+@pytest.mark.parametrize("b", (2, 3, 10, 256))
+def test_pack_rows_matches_pack(b):
+    # 64-digit rows reach bit 63 of every plane word
+    rng = random.Random(b)
+    rows = [[rng.randrange(b) for _ in range(64)] for _ in range(40)]
+    rows += [[0] * 64, [b - 1] * 64, [0] * 63 + [b - 1], [b - 1] + [0] * 63]
+    for length in (64, 17, 1):
+        digits = np.array([row[:length] for row in rows], dtype=np.uint8)
+        words = core._pack_rows(b, digits)
+        assert words.shape == (b - 1, len(rows)) and words.dtype == np.uint64
+        for k, row in enumerate(digits.tolist()):
+            packed = core._pack(b, row, 64)
+            assert [int(w) for w in words[:, k]] == [packed >> (64 * s) & (2**64 - 1) for s in range(b - 1)]
 
 
 def test_pack_of_no_planes_is_zero():

@@ -84,6 +84,27 @@ def test_divides_examples():
     assert not factor.divides(P("2:1,1,1"), P("2:1,1"))
 
 
+def test_divides_raises_what_residual_divide_raises():
+    # divides(g, h) asks residual_divide(h, g); the checks come in its order,
+    # and only a longer g is an answer (False) rather than an error
+    zero2, zero3 = core.zero(2), core.zero(3)
+    cases = (
+        (zero2, zero2, ZeroDivisor),
+        (zero2, P("3:1,1"), ZeroDivisor),
+        (P("2:1,1"), zero3, ZeroPolynomial),
+        (P("2:1,1"), P("3:1,1"), BaseMismatch),
+        (P("2:1,1,1"), P("3:1,1"), BaseMismatch),
+    )
+    for g, h, error in cases:
+        with pytest.raises(error):
+            factor.residual_divide(h, g)
+        with pytest.raises(error):
+            factor.divides(g, h)
+    with pytest.raises(DegreeTooLarge):
+        factor.residual_divide(P("2:1,1"), P("2:1,1,1"))
+    assert factor.divides(P("2:1,1,1"), P("2:1,1")) is False
+
+
 @given(nonzero_pairs())
 @settings(max_examples=300, deadline=None)
 def test_residuation_maximality(pair):

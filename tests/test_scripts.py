@@ -71,13 +71,18 @@ def test_census_ab_alternates_two_trees():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert [(c["b"], c["n"], c["space"]) for c in report["cells"]] == [(2, 6, "all-vectors"), (2, 6, "exact-degree")]
+    assert [(c["b"], c["n"], c["op"], c["space"]) for c in report["cells"]] == [
+        (2, 6, "census", "all-vectors"),
+        (2, 6, "census", "exact-degree"),
+        (2, 6, "partition", "all-vectors"),
+    ]
     for cell in report["cells"]:
         assert cell["same_record"] is True
         assert [len(cell[side]["seconds"]) for side in ("parent", "change")] == [2, 2]
     # stderr logs one line per run, the sides alternating first
-    sides = [line.split()[2] for line in proc.stderr.splitlines()]
-    assert sides[:4] == ["parent", "change", "change", "parent"]
+    log = [line.split() for line in proc.stderr.splitlines()]
+    assert [line[3] for line in log] == ["parent", "change", "change", "parent"] * 3
+    assert [line[1] for line in log[::4]] == ["census", "census", "partition"]
 
 
 def test_frontier_alternates_two_trees_and_prints_json():

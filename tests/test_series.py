@@ -473,6 +473,37 @@ def test_frequency_report_all_strings():
     assert rep.normal_expectation == 1.0
 
 
+@pytest.mark.parametrize("b, r", ((2, 3), (3, 2), (10, 1)))
+def test_frequency_report_drops_impossible_windows(b, r):
+    import itertools
+
+    s = series.random_stream(b, 300, seed=b)
+    every = list(itertools.product(range(b), repeat=r))
+    # a window with a digit outside 0..b-1 never occurs and is not expected
+    for impossible in ((b,) * r, (0,) * (r - 1) + (b + 5,)):
+        rep = series.z_frequency_report(s, every + [impossible])
+        assert (rep.normal_expectation, rep.empirical) == (1.0, 1.0)
+        assert series.count_set_occurrences(s, every + [impossible]) == rep.windows == 300 - r + 1
+    rep = series.z_frequency_report(series.make_stream(3, [0, 1, 2, 0]), [(0,), (1,), (2,), (7,)])
+    assert (rep.normal_expectation, rep.empirical) == (1.0, 1.0)
+
+
+def test_explicit_window_sets_are_checked_alike():
+    s = series.make_stream(3, [0, 1, 2, 0])
+    for windows, error in (
+        ([(0,), (1, 2)], ValueError),
+        ([()], WindowTooShort),
+        ([(0, 1, 2, 0, 1)], WindowTooShort),
+    ):
+        with pytest.raises(error):
+            series.count_set_occurrences(s, windows)
+        with pytest.raises(error):
+            series.z_frequency_report(s, windows)
+    assert series.count_set_occurrences(s, []) == 0
+    with pytest.raises(ValueError):
+        series.z_frequency_report(s, [])
+
+
 def test_frequency_report_single_string():
     s = series.random_stream(3, 100_000, seed=8)
     rep = series.z_frequency_report(s, [(0, 2)])

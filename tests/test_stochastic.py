@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from maxminpoly import census, stochastic
+from maxminpoly import census, factor, stochastic
 from maxminpoly.errors import DigitOutOfRange, LevelOutOfRange
 
 
@@ -114,6 +114,21 @@ def test_density_sampled_close_to_exhaustive():
     assert rep.ci_low - 0.02 <= truth <= rep.ci_high + 0.02
     again = stochastic.density_experiment(cfg(n=10, trials=4000, seed=9))
     assert again == rep
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("space", census.SPACES)
+@pytest.mark.parametrize("b, n", ((2, 16), (3, 10), (10, 6)))
+def test_density_counts_the_irreducible_draws(b, n, space, workers):
+    # 2049 trials make two chunks, the second of one draw
+    config = cfg(b=b, n=n, space=space, trials=2049, seed=b * n)
+    want = sum(
+        1
+        for poly in stochastic.sample_stream(config)
+        if not poly.is_zero() and factor.classify_irreducible(poly).kind == factor.IRREDUCIBLE
+    )
+    rep = stochastic.density_experiment(config, workers=workers)
+    assert rep.irreducible == want and rep.trials == 2049
 
 
 def test_wilson_interval_basics():
