@@ -65,7 +65,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .core import MaxMinPoly, _pack_rows, _times_block, _trim, check_base
+from .core import BLOCK_ROWS, MaxMinPoly, _pack_rows, _times_block, _trim, check_base
 from .errors import BoundExceeded, BudgetExceeded
 
 ALL_VECTORS = "all-vectors"
@@ -74,9 +74,6 @@ SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 DEFAULT_BUDGET = 200_000_000
 SHARDS = 16
-# rows of one block of factors or vectors in the enumerations and counts;
-# a block of products holds at most this many plane words
-BLOCK_ROWS = 1 << 16
 
 
 def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:

@@ -55,6 +55,12 @@ from .errors import (
 
 MIN_BASE = 2
 MAX_BASE = 256
+# bits of the plane words of the block kernels: a block row holds at most
+# this many coefficients
+WORD = 64
+# rows of one block of the block kernels and enumerations; a block of
+# products holds at most this many plane words
+BLOCK_ROWS = 1 << 16
 
 
 def check_base(b: int) -> int:

@@ -62,6 +62,25 @@ count stay the same; q has deg h - deg g + 1 terms per plane, so no shift
 leaves its plane.  On irreducible inputs, almost all of them at large
 degree, the caps and the bound remove most of the search.
 
+The root test has a plane-word form that decides it for a block of
+inputs at once (_root_screen).  At degree deg g, with m = min(s, h_0) and
+l = min(s, lead(h)), let
+
+    F_s = H_m & (H_l >> deg f) & bits 0..deg g,
+    Q_s = H_m & (H_l >> deg g) & bits 0..deg f
+
+(the masks only restate that H_l has no bit above deg h).  Q is the
+quotient bound before g[0] is chosen: g_0 >= h_0 and a lead >= lead(h)
+only shrink it.  Bit k of F_s holds exactly when cap_k >= s, since
+h_k >= m means h_k >= s or h_k >= h_0, and likewise at k + deg f; bits 0
+and deg g are the end caps, low_top and lead_top.  The degree passes only
+if OR over the k in F_s of (Q_s << k) covers H_s at every plane s.  That
+is the root's cover bound at its weakest g[0], so the search's own end
+cap skip and early exit cut no degree that the test keeps.  Every exact
+pair has f <= Q and g_k <= cap_k, so its product is at most that OR: a
+degree the test cuts holds no exact leaf, and a search given only the
+degrees it keeps returns the same first witness.
+
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
 falls below h.
@@ -72,8 +91,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import core
-from .core import MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
+from .core import BLOCK_ROWS, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -333,22 +354,85 @@ def _divisors(
     return None
 
 
-def _classify_generic(b: int, h: Sequence[int]) -> tuple[str, Optional[tuple[tuple[int, ...], int]]]:
+def _root_screen(b: int, digits: np.ndarray) -> np.ndarray:
+    """The plane-word root test (see the module docstring) of every degree
+    of every digit row at once: a boolean array of shape (rows, (n-1)//2)
+    whose entry [r, dg-1] is true when the search of row r, stripped of its
+    order, tries degree dg and the test keeps it.  Zero rows and monomials
+    keep no degree.  Rows hold at most WORD digits.
+
+    The test runs in the frame of the unstripped row: with t its order and
+    e its degree, F_s = (H_m >> t) & (H_l >> (e - dg)) and Q_s << t =
+    H_m & (H_l >> dg), and the cover is held against H_s itself.  Since
+    h_k >= min(s, v) exactly when h_k >= s or h_k >= v, H_m and H_l are
+    H_s ORed with one word each.  The OR over the bits k of F_s is one
+    product per k, Q_s * (F_s & 2^k), which is Q_s << k or 0 and stays
+    inside the word.  Rows go in blocks whose (positions x rows x degrees
+    x planes) temporary holds at most BLOCK_ROWS words (or one row), so a
+    block costs a fixed number of numpy calls whatever its size.
+    """
+    rows, n = digits.shape
+    top = (n - 1) // 2
+    keep = np.zeros((rows, top), dtype=bool)
+    if not top:
+        return keep
+    levels = np.append(np.arange(1, b), (0, 0))  # two more filled per row
+    weight = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    bit = weight[: top + 1, None]
+    dg = np.arange(1, top + 1)
+    step = max(1, BLOCK_ROWS // ((top + 1) * top * (b - 1)))
+    for lo in range(0, rows, step):
+        block = digits[lo : lo + step]
+        nonzero = block != 0
+        t = nonzero.argmax(axis=1)
+        last = np.maximum.reduce(nonzero * np.arange(n), axis=1)  # 0 on a zero row
+        at = np.arange(len(block))
+        # the words of H_s, of h_k >= h_0 and of h_k >= lead, per row
+        thresholds = np.empty((len(block), b + 1), dtype=block.dtype)
+        thresholds[:] = levels
+        thresholds[:, -2] = block[at, t]
+        thresholds[:, -1] = block[at, last]
+        words = (block[:, None, :] >= thresholds[..., None]) @ weight
+        planes = words[:, None, : b - 1]
+        low = planes | words[:, None, -2:-1]
+        lead = planes | words[:, None, -1:]
+        # one row per degree: F in caps, Q << t in quot; a degree above
+        # e shifts by 64 or more and reads 0
+        caps = lead >> (last[:, None] - dg).astype(np.uint64)[..., None]
+        caps &= low >> t.astype(np.uint64)[:, None, None]
+        quot = lead >> dg.astype(np.uint64)[:, None]
+        quot &= low
+        cover = caps.reshape(-1) & bit
+        cover *= quot.reshape(-1)
+        cover = np.bitwise_or.reduce(cover, axis=0).reshape(quot.shape)
+        out = keep[lo : lo + step]
+        np.logical_and.reduce((cover | planes) == cover, axis=-1, out=out)
+        out &= 2 * dg <= (last - t)[:, None]
+    return keep
+
+
+def _classify_generic(
+    b: int, h: Sequence[int], degrees: Optional[Iterable[int]] = None
+) -> tuple[str, Optional[tuple[tuple[int, ...], int]]]:
     """Classify a raw canonical nonzero coefficient tuple over base b; the
     one search entry point behind classification, census and density.
 
     The search runs on h / x^t, t = ord h: a divisor of positive order
     would have a lower-degree divisor of h / x^t in front of it, so the
-    first witness is the same.  The witness is (g, q) with q the packed
-    quotient of h / x^t, which _witness_pair turns into coefficients; the
-    callers that read only the class never unpack it.
+    first witness is the same.  It tries the divisor degrees 1..deg(h/x^t)/2,
+    or only `degrees` (read in the frame of h / x^t) for a caller that has
+    ruled the others out.  The witness is (g, q) with q the packed quotient
+    of h / x^t, which _witness_pair turns into coefficients; the callers
+    that read only the class never unpack it.
     """
     if len(h) - h.count(0) == 1:
         return (MONOMIAL, None)
     t = 0
     while not h[t]:
         t += 1
-    found = _divisors(b, h[t:], range(1, (len(h) - 1 - t) // 2 + 1))
+    if degrees is None:
+        degrees = range(1, (len(h) - 1 - t) // 2 + 1)
+    found = _divisors(b, h[t:], degrees)
     return (IRREDUCIBLE, None) if found is None else (REDUCIBLE, found)
 
 

@@ -4,15 +4,23 @@ All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
 scheduled across the workers of `census.run_shards`.  A density chunk
-counts its irreducible draws (`_density_chunk`), each nonzero
-non-monomial draw decided by the divisor search, the engine that the
-census's product sieve is tested against.  The census's classes,
+counts its irreducible draws (`_density_chunk`) in two steps.  First it
+screens them all at once with the plane-word form of the divisor
+search's root test (`factor._root_screen`), a fixed number of numpy
+steps per block of the chunk's digit matrix; a nonzero non-monomial
+draw with every divisor degree cut is irreducible.  Then the search, the engine that the
+census's product sieve is tested against, decides each other draw on
+the degrees the screen kept.  Most large draws are irreducible and the
+screen cuts most of them, so most draws never reach the search.  Draws
+longer than one 64-bit word, and chunks too small to pay for the
+screen, go to the search with every degree.  The census's classes,
 candidates and primes are counted by `census._count_range` alone.
 Every report records the generator identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +30,17 @@ import numpy as np
 
 from . import census as census_mod, factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
-from .core import MaxMinPoly, _trim, check_base
+from .core import WORD, MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
 from .factor import REDUCIBLE
 
 GENERATOR_ID = "numpy.PCG64"
 CHUNK = 2048
+# the fewest digits (draws x n) of a chunk that the root screen pays for:
+# its fixed cost, a few dozen numpy calls, is about what the search spends
+# on the cut draws of 40 draws at b=10 n=8, 20 at b=4 n=16, 10 at b=3 n=20
+# and 6 at b=2 n=40
+SCREEN_DIGITS = 320
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,13 +176,25 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> int:
     """The number of irreducible draws of one seed-derived trial chunk
     (order-free): nonzero non-monomials that the divisor search finds no
-    factorization of."""
-    rows = _draw_digits(rng, size, config).tolist()
-    return sum(
-        1
-        for coeffs in map(_trim, rows)
-        if len(coeffs) - coeffs.count(0) > 1 and factor._classify_generic(config.b, coeffs)[0] != REDUCIBLE
-    )
+    factorization of.  A chunk of at least SCREEN_DIGITS digits, in draws
+    of at most WORD digits, is screened first (factor._root_screen): a draw
+    with every degree cut is irreducible, and the search runs on the others
+    with only the degrees the screen kept."""
+    b, n = config.b, config.n
+    digits = _draw_digits(rng, size, config)
+    hits = 0
+    rows, degrees = digits, itertools.repeat(None)
+    if n <= WORD and size * n >= SCREEN_DIGITS:
+        keep = factor._root_screen(b, digits)
+        kept = keep.any(axis=1)
+        # a kept draw is a nonzero non-monomial; the others of those are cut
+        hits = int(np.count_nonzero(np.count_nonzero(digits, axis=1) > 1) - np.count_nonzero(kept))
+        rows = digits[kept]
+        degrees = ([dg for dg, k in enumerate(row, 1) if k] for row in keep[kept].tolist())
+    for coeffs, degs in zip(map(_trim, rows.tolist()), degrees):
+        if len(coeffs) - coeffs.count(0) > 1:
+            hits += factor._classify_generic(b, coeffs, degs)[0] != REDUCIBLE
+    return hits
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:

@@ -1,7 +1,9 @@
 """Residual division, classification and factorization listings."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -311,6 +313,35 @@ def test_root_early_exit_matches_unpruned_reference(h):
     assert _search(b, coeffs) == (factor.REDUCIBLE if want else factor.IRREDUCIBLE, want)
     got = [(w.g.coeffs, w.h.coeffs) for w in factor.all_factorizations(h)]
     assert got == oracle_factorizations(b, coeffs)
+
+
+@pytest.mark.parametrize("b, max_n", ((2, 12), (3, 7), (4, 6), (10, 4)))
+def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n):
+    # every digit row of each length n: the screen keeps only degrees the
+    # search tries, a degree it cuts has no exact divisor, and the search
+    # on the kept degrees finds the same class and first witness
+    cut = cut_shifted = 0
+    for n in range(1, max_n + 1):
+        rows = np.array(list(itertools.product(range(b), repeat=n)))
+        keep = factor._root_screen(b, rows)
+        assert keep.shape == (len(rows), (n - 1) // 2)
+        for row, kept in zip(rows.tolist(), keep.tolist()):
+            nonzero = [k for k, v in enumerate(row) if v]
+            if len(nonzero) < 2:  # the zero row and the monomials
+                assert not any(kept), row
+                continue
+            stripped = tuple(row[nonzero[0] : nonzero[-1] + 1])
+            top = (len(stripped) - 1) // 2
+            assert not any(kept[top:]), row
+            for dg in range(1, top + 1):
+                if not kept[dg - 1]:
+                    assert factor._divisors(b, stripped, (dg,)) is None, (row, dg)
+                    cut += 1
+                    cut_shifted += nonzero[0] > 0
+            degrees = [dg for dg in range(1, top + 1) if kept[dg - 1]]
+            h = core._trim(row)
+            assert factor._classify_generic(b, h, degrees) == factor._classify_generic(b, h), row
+    assert cut_shifted and cut
 
 
 @pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))

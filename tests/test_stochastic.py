@@ -118,7 +118,12 @@ def test_density_sampled_close_to_exhaustive():
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("space", census.SPACES)
-@pytest.mark.parametrize("b, n", ((2, 16), (3, 10), (10, 6)))
+@pytest.mark.parametrize(
+    "b, n",
+    # the root screen cuts most draws at (2, 40), (4, 16) and (10, 8);
+    # 64 digits fill its word and 65 go past it
+    ((2, 16), (3, 10), (10, 6), (2, 40), (4, 16), (10, 8), (2, 64), (2, 65)),
+)
 def test_density_counts_the_irreducible_draws(b, n, space, workers):
     # 2049 trials make two chunks, the second of one draw
     config = cfg(b=b, n=n, space=space, trials=2049, seed=b * n)
