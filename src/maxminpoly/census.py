@@ -8,44 +8,47 @@ Two enumeration conventions are exposed and labeled on every record:
 * ``exact-degree`` restricts to vectors whose leading digit is nonzero,
   i.e. genuine degree n-1 polynomials.
 
-The census is a forward product sieve.  A vector is reducible when it is
-g*f with neither factor a monomial, and x^t * c has the class of c.  The
-end digits of g*f are the minima of those of g and f, so the factors of
-a core (a vector with both end digits nonzero) are cores, and it is
-enough to mark every product of two cores (`_core_products`), one degree
-of the product at a time (`_sieve_degree`), and to copy each core's flag
-to its shifts (`_spread_shifts`): b^n booleans, one per all-vectors
-index (`_reducible_flags`).  The counts of an index range then follow
-from those flags and from the digit counts of its vectors with numpy
-reductions (`_count_range`, the one count rule); no vector is decided
-one at a time.  A vector's number of digits >= s is read from tables of
-its high and its low digits (`_level_counts`), and `_index_rows` is the
-one decoder of indices to digit rows, `iter_vectors` included.  With
-more than one worker the degrees run on worker processes, and their
-parts merge by union.
+The census is a forward product sieve counted per core degree.  A
+vector is reducible when it is g*f with neither factor a monomial, and
+every nonzero vector is x^t * c with c a core (a vector with both end
+digits nonzero), which has the class of c.  The end digits of g*f are
+the minima of those of g and f, so the factors of a core are cores, and
+it is enough to mark every product of two cores (`_core_products`) at
+its rank among the cores of its degree.  The unit of work is that degree
+m (`_sieve_degree`): it returns two ints, its reducible cores and those
+among them with a digit b-1; the cores and the candidates (the cores
+with a digit b-1) of a degree have closed forms.  A record is then a
+weighted sum over degrees (`_range_record`, the one count rule): in
+all-vectors a core of degree m stands for its n - m shifts, in
+exact-degree for one, and only the unshifted vectors, t = 0, hold
+candidates.  No vector is decided, and none is marked, one at a time:
+the largest array is the marks of the cores of the top degree.  A
+core's number of digits >= s is read from tables of its high and its
+low digits (`_level_counts`), and `_index_rows` is the one decoder of
+indices to digit rows, `iter_vectors` included.  With more than one
+worker the degrees run on worker processes.
 
-`_jobs` is the one shard plan of the checkpointed census: SHARDS index
-ranges (start, end) of the full space fixed by (b, n, space) alone, so a
-checkpoint resumes at any worker count.  A shard counts the vectors of
-its range, and the checkpoint header carries the tally marker "vectors",
-so a checkpoint of the earlier orbit tally is rejected, not merged.
-`run_shards` runs the sieve's degrees and the density sampler's chunks.
+The shard plan of the checkpointed census is the n valuation ranges of
+the space (`_valuation_range`): range t holds the vectors x^t * c, a
+contiguous index range fixed by (b, n, space) alone, so a checkpoint
+resumes at any worker count.  A shard counts the vectors of its range,
+and the checkpoint header carries the tally marker "valuations", so a
+checkpoint of an earlier tally is rejected, not merged.  `run_shards`
+runs the sieve's degrees and the density sampler's chunks.
 
 The partition census splits the same space into seven deviation classes
 keyed on support sizes and factorization shapes, evaluating the explicit
-tail bound attached to each class; it reads the same core products
-and the same digit-count tables.
-Enumeration order is lexicographic on the coefficient vectors, so shard
-ranges are well-defined and resumable.
+tail bound attached to each class; it classifies the cores of each
+degree once, from the same core products and digit-count tables, with
+weight n - m.  Enumeration order is lexicographic on the coefficient
+vectors, so shard ranges are well-defined and resumable.
 
 The two exhaustive pair enumerations, the sieve (with the partition) and
 the close-pair count, run on core's block product (`_times_block`): a
 block of second factors multiplies a block of first factors, each held
 as one uint64 word per plane, in a few numpy steps per coefficient
 position, with at most BLOCK_ROWS plane words to a block of products, so
-no Python code runs per factor pair or per vector.  The partition runs unsharded:
-it marks per-vector flags, b^n booleans for each of five conditions,
-which every worker would have to hold whole.
+no Python code runs per factor pair or per vector.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ EXACT_DEGREE = "exact-degree"
 SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 DEFAULT_BUDGET = 200_000_000
-SHARDS = 16
 
 
 def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
@@ -189,128 +191,139 @@ def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
     _check_budget(b**n, f"{b}^{n} vectors", force, " vectors")
 
 
-def _jobs(b: int, n: int, space: str) -> list[tuple[int, int]]:
-    """The census shard plan: at most SHARDS lexicographic ranges
-    (start, end) of ceil(size / SHARDS) vectors each, the last one possibly
-    shorter."""
-    size = space_size(b, n, space)
-    step = -(-size // SHARDS)
-    return [(s, min(s + step, size)) for s in range(0, size, step)]
+def _valuation_range(b: int, n: int, space: str, t: int) -> tuple[int, int]:
+    """Range t of the shard plan: the indices (start, end) of the vectors
+    x^t * c of the space, c with a nonzero constant term.  x^t * c has the
+    index of c among vectors of n - t digits, so the range is
+    [size(n-1-t), size(n-t)), and range n-1 starts at 0 (in all-vectors,
+    at the zero vector)."""
+    return (space_size(b, n - 1 - t, space) if t < n - 1 else 0, space_size(b, n - t, space))
+
+
+def _cores(b: int, m: int) -> tuple[int, int]:
+    """The exact-degree indices (start, end), among vectors of m+1 digits,
+    of the cores of degree m, the vectors with both end digits nonzero:
+    range 0 of that space.  A core's rank is its index minus start."""
+    return _valuation_range(b, m + 1, EXACT_DEGREE, 0)
 
 
 def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force: bool = False) -> CensusRecord:
     """Exhaustive classification counts for one (b, n, space): the product
-    sieve, its degrees on up to `workers` processes, then one count over
-    the space."""
+    sieve, its degrees on up to `workers` processes, then the sum of the
+    records of the valuation ranges."""
     check_enumeration(b, n, space, force)
-    return _count_range(b, n, space, 0, space_size(b, n, space), _reducible_flags(b, n, workers))
+    reducible = _reducible_counts(b, n, workers)
+    return functools.reduce(merge_records, (_range_record(b, n, space, t, reducible) for t in range(n)))
 
 
 # -- the product sieve --------------------------------------------------------
 
 
-def _core_products(b: int, m: int, length: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _core_products(b: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every product g*f of two cores of degrees dg <= df with dg + df = m,
-    in chunks (gs, fs, idx): gs and fs blocks of digit rows, and idx the
-    all-vectors index, among vectors of `length` >= m + 1 digits, of the
-    product of each pair (g, f), g-major.
+    in chunks (gs, fs, rank): gs and fs blocks of digit rows, and rank the
+    place among the cores of degree m of the product of each pair (g, f),
+    g-major.
 
-    A core has both end digits nonzero, so it is no monomial, and the cores
-    of one length are the tail of that length's exact-degree space.  The f
-    come in blocks of BLOCK_ROWS / (b-1) factors, and each is multiplied
-    by as many g at once as keep the products within BLOCK_ROWS plane
-    words.  At equal degrees both orders of a pair take part.
+    The end digits of g*f are the minima of those of g and f, so a product
+    of cores is a core.  The f come in blocks of BLOCK_ROWS / (b-1)
+    factors, and each is multiplied by as many g at once as keep the
+    products within BLOCK_ROWS plane words.  At equal degrees both orders
+    of a pair take part.
     """
-    tables = _index_tables(b, length)
+    tables = _index_tables(b, m)
+    # the tables add up to a core's exact-degree index plus 1
+    offset = -1 - _cores(b, m)[0]
     rows = max(1, BLOCK_ROWS // (b - 1))
     for dg in range(1, m // 2 + 1):
-        df = m - dg
-        gs = _index_rows(b, dg + 1, EXACT_DEGREE, (b - 1) * b ** (dg - 1), (b - 1) * b**dg)
-        f_end = (b - 1) * b**df
-        for lo in range((b - 1) * b ** (df - 1), f_end, rows):
-            fs = _index_rows(b, df + 1, EXACT_DEGREE, lo, min(lo + rows, f_end))
+        gs = _index_rows(b, dg + 1, EXACT_DEGREE, *_cores(b, dg))
+        f_start, f_end = _cores(b, m - dg)
+        for lo in range(f_start, f_end, rows):
+            fs = _index_rows(b, m - dg + 1, EXACT_DEGREE, lo, min(lo + rows, f_end))
             block = _pack_rows(b, fs)
             step = max(1, rows // len(fs))
             for k in range(0, len(gs), step):
                 prod = _times_block(block, gs[k : k + step]).astype("<u8", copy=False)
                 octets = prod.view(np.uint8).reshape(*prod.shape, 8)
-                idx = np.zeros((len(prod), len(fs)), dtype=np.int64)
+                rank = np.full((len(prod), len(fs)), offset, dtype=np.int64)
                 for s in range(b - 1):
                     for t, table in enumerate(tables):
-                        idx += table[octets[:, s, :, t]]
-                yield gs[k : k + step], fs, idx.ravel()
+                        rank += table[octets[:, s, :, t]]
+                yield gs[k : k + step], fs, rank.ravel()
 
 
-def _sieve_degree(b: int, m: int) -> np.ndarray:
-    """The reducible cores of degree m: entry i is set when the core of
-    all-vectors index b^m + i among vectors of m + 1 digits is a product."""
-    flags = np.zeros((b - 1) * b**m, dtype=bool)
-    for _, _, idx in _core_products(b, m, m + 1):
-        flags[idx - b**m] = True
-    return flags
+def _sieve_degree(b: int, m: int) -> tuple[int, int]:
+    """The reducible cores of degree m: how many, and how many of them have
+    a digit b-1.  Each product marks its rank; the marks are then counted a
+    block at a time."""
+    start, end = _cores(b, m)
+    marks = np.zeros(end - start, dtype=bool)
+    for _, _, rank in _core_products(b, m):
+        marks[rank] = True
+    reducible = top = 0
+    for lo in range(0, end - start, BLOCK_ROWS):
+        rank = np.flatnonzero(marks[lo : lo + BLOCK_ROWS]) + lo
+        reducible += len(rank)
+        top += int(np.count_nonzero(_level_counts(b, m, rank, b - 1)[0]))
+    return reducible, top
 
 
-def _spread_shifts(b: int, n: int, flags: np.ndarray) -> None:
-    """Give each vector x^t * c the flag of its core c.  The cores fill the
-    indices from b^(n-1) up, and c's index is that of x^t * c times b^t."""
-    cores = flags[b ** (n - 1) :]
-    for t in range(1, n):
-        flags[b ** (n - 1 - t) : b ** (n - t)] = cores[:: b**t]
-
-
-def _reducible_flags(b: int, n: int, workers: int = 1) -> np.ndarray:
-    """Per all-vectors index, whether the vector is reducible: its core is
-    a product of two cores, and the classes of x^t * c and c agree.  The
-    degrees of the sieve run as the jobs of `run_shards`, the largest
-    first; they mark disjoint cores, so the parts merge by union."""
-    flags = np.zeros(b**n, dtype=bool)
-    cores = flags[b ** (n - 1) :]
+def _reducible_counts(b: int, n: int, workers: int = 1) -> list[tuple[int, int]]:
+    """Per core degree m < n, the pair of `_sieve_degree`.  The degrees run
+    as the jobs of `run_shards`, the largest first; degrees 0 and 1 have no
+    products."""
+    counts = [(0, 0)] * n
     degrees = range(n - 1, 1, -1)
     with contextlib.closing(run_shards(_sieve_degree, [(b, m) for m in degrees], workers)) as parts:
         for m, part in zip(degrees, parts):
-            # the cores of degree m among those of n digits: index times b^(n-1-m)
-            cores[:: b ** (n - 1 - m)] |= part
-    _spread_shifts(b, n, flags)
-    return flags
+            counts[m] = part
+    return counts
 
 
-def _count_range(b: int, n: int, space: str, start: int, end: int, reducible: np.ndarray) -> CensusRecord:
-    """Census counts of an index range, in blocks, from the all-vectors
-    `reducible` flags and the digit counts of each vector."""
-    total = monomials = red = candidates = primes = 0
-    for lo in range(start, end, BLOCK_ROWS):
-        idx = np.arange(lo, min(lo + BLOCK_ROWS, end), dtype=np.int64)
-        if space == EXACT_DEGREE:
-            q, r = np.divmod(idx, b - 1)
-            idx = q * b + r + 1
-        nnz, top = _level_counts(b, n, idx, 1, b - 1)
-        flags = reducible[idx]
-        # a candidate has a nonzero constant term, the leading digit of
-        # the index, and a digit b-1; a candidate monomial is the constant
-        # b-1, which is prime
-        candidate = (idx >= b ** (n - 1)) & (top > 0)
-        total += int(np.count_nonzero(nnz))
-        monomials += int(np.count_nonzero(nnz == 1))
-        red += int(np.count_nonzero(flags))
-        candidates += int(np.count_nonzero(candidate))
-        primes += int(np.count_nonzero(candidate & ~flags))
+def _range_record(b: int, n: int, space: str, t: int, reducible: Sequence[tuple[int, int]]) -> CensusRecord:
+    """Census counts of valuation range t, the one count rule, from the
+    per-degree pairs of `_reducible_counts`.  x^t * c has the class of its
+    core c, which runs over the cores of every degree m <= n-1-t in
+    all-vectors and of degree n-1-t alone in exact-degree.  A candidate
+    has a nonzero constant term, so range 0 alone holds candidates: the
+    cores with a digit b-1 (at m = 0 the constant b-1, which is prime)."""
+    start, end = _valuation_range(b, n, space, t)
+    # the range's vectors but the zero vector
+    total = end - start - (start == 0 and space == ALL_VECTORS)
+    degrees = range(n - t) if space == ALL_VECTORS else [n - 1 - t]
+    red = sum(reducible[m][0] for m in degrees)
+    candidates = primes = 0
+    if t == 0:
+        for m in degrees:
+            with_top = candidate_count_closed_form(b, m + 1) if m else 1
+            candidates += with_top
+            primes += with_top - reducible[m][1]
+    monomials = b - 1 if 0 in degrees else 0
     return CensusRecord(b, n, space, total, monomials, total - monomials - red, red, candidates, primes)
 
 
-def _level_counts(b: int, n: int, idx: np.ndarray, *levels: int) -> list[np.ndarray]:
-    """Per level s and per all-vectors index in idx, the number of digits
-    >= s of its vector of n digits, read from tables of its high and its
-    low digits.  The table of k digits is built from that of k-1: index
-    i*b + d adds the digit d to the vector of index i."""
-    low = n // 2
-    upper, lower = np.divmod(idx, b**low)
-    counts = []
-    for s in levels:
-        tables = [np.zeros(1, dtype=np.uint8)]
-        for _ in range(n - low):
-            tables.append((tables[-1][:, None] + (np.arange(b) >= s)).ravel())
-        counts.append(tables[n - low][upper] + tables[low][lower])
-    return counts
+@functools.cache
+def _level_table(b: int, k: int, s: int) -> np.ndarray:
+    """Per all-vectors index of the vectors of k digits, its number of
+    digits >= s, built once per process, read-only.  The table of k
+    digits extends that of k-1: index i*b + d adds the digit d to the
+    vector of index i."""
+    if k == 0:
+        table = np.zeros(1, dtype=np.uint8)
+    else:
+        table = (_level_table(b, k - 1, s)[:, None] + (np.arange(b) >= s)).ravel()
+    table.flags.writeable = False
+    return table
+
+
+def _level_counts(b: int, m: int, rank: np.ndarray, *levels: int) -> list[np.ndarray]:
+    """Per level s and per core of degree m in `rank`, its number of digits
+    >= s, read from the tables of its high and its low digits at its
+    all-vectors index among vectors of m+1 digits."""
+    q, r = np.divmod(rank + _cores(b, m)[0], b - 1)
+    low = (m + 1) // 2
+    upper, lower = np.divmod(q * b + r + 1, b**low)
+    return [_level_table(b, m + 1 - low, s)[upper] + _level_table(b, low, s)[lower] for s in levels]
 
 
 # -- checkpointed census ------------------------------------------------------
@@ -319,43 +332,43 @@ def _level_counts(b: int, n: int, idx: np.ndarray, *levels: int) -> list[np.ndar
 def census_with_checkpoint(
     b: int, n: int, space: str, path: str | Path, *, workers: int = 1, force: bool = False
 ) -> CensusRecord:
-    """Count the shards of `_jobs`, persisting partials to JSON.
+    """Count the shards of the plan, the n valuation ranges of
+    `_valuation_range`, persisting partials to JSON.
 
     An interrupted run resumes from the shards already on disk, at any
     worker count; completed shards are merged by the associative record
     addition.  A shard's partial counts the vectors of its range.  The
     sieve is not saved: a resume with pending shards runs it again, on up
     to `workers` processes, and counts only the missing ranges.  The
-    header records the census, the plan's shard size, the tally marker
-    "vectors" and the package version, and a checkpoint whose header does
-    not match (one written by the orbit tally among them), whose shards
-    repeat, are not in the plan or are malformed, or whose counts do not
-    add up to the space, is rejected rather than merged.  Each shard is
-    written as it is counted, to a temporary file that then replaces the
-    checkpoint, so a crash or an interrupt leaves the last complete
-    checkpoint intact.
+    header records the census, the tally marker "valuations" and the
+    package version, and a checkpoint whose header does not match (one
+    written by an earlier tally, the index ranges of "vectors" or the
+    orbits, among them), whose shards repeat, are not in the plan or are
+    malformed, or whose counts do not add up to the space, is rejected
+    rather than merged.  Each shard is written as it is counted, to a
+    temporary file that then replaces the checkpoint, so a crash or an
+    interrupt leaves the last complete checkpoint intact.
     """
     check_enumeration(b, n, space, force)
     path = Path(path)
-    jobs = _jobs(b, n, space)
-    # the first shard starts at 0, so its end is the plan's step
-    header = {"b": b, "n": n, "space": space, "shard_size": jobs[0][1], "tally": "vectors", "version": __version__}
+    plan = [_valuation_range(b, n, space, t) for t in range(n)]
+    header = {"b": b, "n": n, "space": space, "tally": "valuations", "version": __version__}
     entries: list = []
     if path.exists():
         state = json.loads(path.read_text())
         if not isinstance(state, dict) or {key: state.get(key) for key in header} != header:
-            raise ValueError(f"checkpoint {path} belongs to a different census, shard size, tally or version")
+            raise ValueError(f"checkpoint {path} belongs to a different census, tally or version")
         entries = state.get("shards")
         if not isinstance(entries, list):
             raise ValueError(f"checkpoint {path} has no list of shards")
     shards = dict(_read_shard(path, (b, n, space), entry) for entry in entries)
-    if len(shards) != len(entries) or not set(jobs).issuperset(shards):
+    if len(shards) != len(entries) or not set(plan).issuperset(shards):
         raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
-    jobs = [job for job in jobs if job not in shards]
-    reducible = _reducible_flags(b, n, workers) if jobs else None
+    pending = [(t, span) for t, span in enumerate(plan) if span not in shards]
+    reducible = _reducible_counts(b, n, workers) if pending else None
     tmp = Path(f"{path}.tmp")
-    for start, end in jobs:
-        partial = shards[start, end] = _count_range(b, n, space, start, end, reducible)
+    for t, (start, end) in pending:
+        partial = shards[start, end] = _range_record(b, n, space, t, reducible)
         entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
         tmp.write_text(json.dumps({**header, "shards": entries}))
         os.replace(tmp, path)
@@ -487,14 +500,19 @@ def _index_rows(b: int, n: int, space: str, start: int, end: int) -> np.ndarray:
     return digits
 
 
-def _index_tables(b: int, n: int) -> np.ndarray:
+@functools.cache
+def _index_tables(b: int, m: int) -> np.ndarray:
     """Per byte t of a plane word, the table of the byte's share of the
-    all-vectors index: entry x is the sum of b^(n-1-k) over the bits k of
-    x << 8t below n.  A vector's index is the sum of these shares over the
-    bytes of its planes, as coefficient k counts the planes holding bit k."""
-    weights = [b ** (n - 1 - k) for k in range(n)] + [0] * (-n % 8)
+    exact-degree index plus 1 of a vector of m+1 digits: entry x is the sum
+    of w_k over the bits k of x << 8t up to m, with w_k = (b-1) * b^(m-1-k)
+    below the lead and w_m = 1.  A vector's index plus 1 is the sum of
+    these shares over the bytes of its planes, as coefficient k counts the
+    planes holding bit k.  Built once per (b, m) and process, read-only."""
+    weights = [(b - 1) * b ** (m - 1 - k) for k in range(m)] + [1] + [0] * (-(m + 1) % 8)
     bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    return np.stack([bits @ np.array(weights[t : t + 8], dtype=np.int64) for t in range(0, len(weights), 8)])
+    tables = np.stack([bits @ np.array(weights[t : t + 8], dtype=np.int64) for t in range(0, len(weights), 8)])
+    tables.flags.writeable = False
+    return tables
 
 
 def _partition_explicit_bounds(b: int, n: int, d: Fraction, v: Fraction, a: int) -> tuple[float, ...]:
@@ -531,70 +549,49 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     whose support sizes, or whose smaller degree, pass a test; the spread
     keeps support sizes, and with every shift on the larger factor it
     keeps the smaller degree, so x^t * c meets a condition exactly when c
-    does.  The pairs of cores of `_core_products` thus suffice: each
-    product sets, at its vector index, the flag of being reducible and
-    the flag of each condition it meets (an assignment at a repeated
-    index is an OR over factorizations), and `_spread_shifts` copies the
-    flags of each core to its shifts.  The vectors are then classified
-    in blocks from their flags and their support sizes.
+    does, and it has the support sizes of c.  So x^t * c has the class of
+    c, and each core of degree m is classified once with weight n - m, its
+    shifts.  The pairs of cores of `_core_products` suffice: each product
+    sets, in the marks of its core, the bit of being reducible and the bit
+    of each condition it meets (an OR over factorizations), and the cores
+    are then classified in blocks from their marks and support sizes.
     """
     check_enumeration(b, n, ALL_VECTORS, force)
     d, v = params.d, params.v
     a = b // 2
     half_d = d / 2
 
-    def far(mean: Fraction) -> np.ndarray:
-        # the deviation test |count - mean| > d/2, once per possible count
-        return np.array([abs(c - mean) > half_d for c in range(2 * n + 3)])
+    def far(mean: Fraction, bit: int) -> np.ndarray:
+        # the deviation test |count - mean| > d/2, once per possible count,
+        # as the bit of its class
+        return np.array([bit * (abs(c - mean) > half_d) for c in range(2 * n + 3)], dtype=np.uint8)
 
-    far1 = far(Fraction((b - 1) * n, b))
-    far1_pair = far(Fraction((b - 1) * (n + 1), b))
-    far_a = far(Fraction((b - a) * n, b))
-    far_a_pair = far(Fraction((b - a) * (n + 1), b))
-    # per vector index: some non-monomial factorization exists, and some
-    # one meets the condition of class 2, 4, 5 or 6
-    size = b**n
-    reducible, pair1, pair_a, low_deg, thin = (np.zeros(size, dtype=bool) for _ in range(5))
-    for m in range(2, n):
-        for gs, fs, idx in _core_products(b, m, n):
+    # class k is bit k-1 of a core's marks, and a core's class is that of
+    # its lowest bit set, 0 for none
+    far1, far1_pair = far(Fraction((b - 1) * n, b), 1), far(Fraction((b - 1) * (n + 1), b), 2)
+    far_a, far_a_pair = far(Fraction((b - a) * n, b), 4), far(Fraction((b - a) * (n + 1), b), 8)
+    first = np.array([(k & -k).bit_length() for k in range(128)])
+    sizes = np.zeros(8, dtype=np.int64)
+    sigma = 0
+    for m in range(n):
+        start, end = _cores(b, m)
+        marks = np.zeros(end - start, dtype=np.uint8)
+        for gs, fs, rank in _core_products(b, m):
             g_a, f_a = (np.count_nonzero(x >= a, axis=1) for x in (gs, fs))
             pair_nnz = np.count_nonzero(gs, axis=1)[:, None] + np.count_nonzero(fs, axis=1)
-            reducible[idx] = True
-            pair1[idx[far1_pair[pair_nnz.ravel()]]] = True
-            pair_a[idx[far_a_pair[(g_a[:, None] + f_a).ravel()]]] = True
-            # gs holds the factor of the smaller degree
-            if gs.shape[1] - 1 <= v:
-                low_deg[idx] = True
-            thin[idx[((g_a[:, None] <= 1) | (f_a <= 1)).ravel()]] = True
-    for flags in (reducible, pair1, pair_a, low_deg, thin):
-        _spread_shifts(b, n, flags)
-    sizes = np.zeros(8, dtype=np.int64)
-    uncovered = 0
-    # the zero vector, index 0, is in no class
-    for lo in range(1, size, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, size)
-        nnz, nnz_a = _level_counts(b, n, np.arange(lo, hi, dtype=np.int64), 1, a)
-        red = reducible[lo:hi]
-        cls = np.select(
-            [
-                far1[nnz],
-                pair1[lo:hi],
-                far_a[nnz_a],
-                pair_a[lo:hi],
-                low_deg[lo:hi],
-                thin[lo:hi],
-                red,
-            ],
-            range(1, 8),
-        )
-        sizes += np.bincount(cls, minlength=8)
-        uncovered += int(np.count_nonzero(red & (cls == 0)))
-    sigma = int(np.count_nonzero(reducible))
-    if uncovered:
-        raise AssertionError("partition failed to cover every reducible vector")
+            thin = (g_a[:, None] <= 1) | (f_a <= 1)
+            # every product is reducible (class 7), and gs holds the factor
+            # of the smaller degree (class 5)
+            fixed = np.uint8(64 | 16 * (gs.shape[1] - 1 <= v))
+            bits = far1_pair[pair_nnz] | far_a_pair[g_a[:, None] + f_a] | np.uint8(32) * thin | fixed
+            np.bitwise_or.at(marks, rank, bits.ravel())
+        for lo in range(0, end - start, BLOCK_ROWS):
+            block = marks[lo : lo + BLOCK_ROWS]
+            nnz, nnz_a = _level_counts(b, m, np.arange(lo, lo + len(block)), 1, a)
+            sizes += (n - m) * np.bincount(first[block | far1[nnz] | far_a[nnz_a]], minlength=8)
+        sigma += (n - m) * int(np.count_nonzero(marks & 64))
     if sizes[1:].sum() < sigma:
         raise AssertionError("partition classes sum below the reducible count")
-    total = size - 1
     return PartitionCensus(
         b,
         n,
@@ -603,7 +600,7 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
         a,
         tuple(int(c) for c in sizes[1:]),
         sigma,
-        total,
+        b**n - 1,
         _partition_explicit_bounds(b, n, d, v, a),
     )
 

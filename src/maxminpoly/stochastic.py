@@ -13,8 +13,9 @@ census's product sieve is tested against, decides each other draw on
 the degrees the screen kept.  Most large draws are irreducible and the
 screen cuts most of them, so most draws never reach the search.  Draws
 longer than one 64-bit word, and chunks too small to pay for the
-screen, go to the search with every degree.  The census's classes,
-candidates and primes are counted by `census._count_range` alone.
+screen, go to the search with every degree.  An exhaustive run takes
+the census's record, whose classes, candidates and primes are counted
+per core degree by `census._range_record` alone.
 Every report records the generator identity.
 """
 

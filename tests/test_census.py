@@ -143,13 +143,12 @@ def test_budget_guard(monkeypatch):
 
 
 def test_merge_records_matches_full_run():
+    # the valuation ranges merged in reverse, from an empty record
     full = census.census(3, 4)
-    size = census.space_size(3, 4, census.ALL_VECTORS)
     merged = census.CensusRecord(3, 4, census.ALL_VECTORS, 0, 0, 0, 0, 0, 0)
-    reducible = census._reducible_flags(3, 4)
-    for start in range(0, size, 17):
-        part = census._count_range(3, 4, census.ALL_VECTORS, start, min(start + 17, size), reducible)
-        merged = census.merge_records(merged, part)
+    reducible = census._reducible_counts(3, 4)
+    for t in reversed(range(4)):
+        merged = census.merge_records(merged, census._range_record(3, 4, census.ALL_VECTORS, t, reducible))
     assert merged == full
 
 
@@ -192,12 +191,41 @@ def test_census_matches_per_vector_tally(b, n, space):
     assert rec.reducible == sum(1 for vec in census.iter_vectors(b, n, space) if _trim(vec) in reducible)
 
 
+def _plan(b, n, space):
+    return [census._valuation_range(b, n, space, t) for t in range(n)]
+
+
 @pytest.mark.parametrize("space", census.SPACES)
 @pytest.mark.parametrize("b, n", ((2, 7), (3, 4), (4, 3), (10, 3)))
 def test_each_index_counts_its_own_vector(b, n, space):
-    reducible = census._reducible_flags(b, n)
+    # each index lies in the one range of its vector's valuation t, the
+    # number of its leading zero coefficients (n-1 for the zero vector)
+    plan = _plan(b, n, space)
     for idx, vec in enumerate(census.iter_vectors(b, n, space)):
-        assert census._count_range(b, n, space, idx, idx + 1, reducible) == _per_vector_record(b, n, space, [vec])
+        t = next((k for k, c in enumerate(vec) if c), n - 1)
+        assert [k for k, (start, end) in enumerate(plan) if start <= idx < end] == [t]
+
+
+@pytest.mark.parametrize("space", census.SPACES)
+@pytest.mark.parametrize("b, n", ((2, 7), (3, 4), (4, 3), (10, 3), (2, 1), (3, 1)))
+def test_every_shard_is_the_per_vector_tally_of_its_range(b, n, space):
+    reducible = census._reducible_counts(b, n)
+    for t, (start, end) in enumerate(_plan(b, n, space)):
+        want = _per_vector_record(b, n, space, census.iter_vectors(b, n, space, start, end))
+        assert census._range_record(b, n, space, t, reducible) == want
+
+
+@pytest.mark.parametrize("b", sorted(SIZES))
+def test_degree_counts_match_the_oracle(b):
+    # per core degree m: the reducible cores and those with a digit b-1
+    top = SIZES[b]
+    reducible = _oracle_reducible(b)
+    want = [(0, 0)] * top
+    for m in range(top):
+        cores = [c for c in itertools.product(range(b), repeat=m + 1) if c[0] and c[-1] and c in reducible]
+        want[m] = (len(cores), sum(1 for c in cores if max(c) == b - 1))
+    assert census._reducible_counts(b, top) == want
+    assert [census._sieve_degree(b, m) for m in range(2, top)] == want[2:]
 
 
 @pytest.mark.parametrize("b, top", ((2, 10), (3, 6), (4, 5), (10, 3)))
@@ -288,16 +316,24 @@ def test_checkpoint_rejects_other_census(tmp_path):
 
 
 def test_checkpoint_rejects_other_shard_size(tmp_path):
+    # this census's header with the earlier plan's 16 shards of 64 vectors,
+    # each the per-vector tally of its range
     path = tmp_path / "census.json"
     rec = census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path)
     assert rec.total == 1023
     state = json.loads(path.read_text())
-    assert state["shard_size"] == 64
-    state["shard_size"] = 100
+    assert "shard_size" not in state and len(state["shards"]) == 10
+    good = state["shards"]
+    state["shards"] = [
+        {"range_start": start, "range_end": start + 64, "partial": dataclasses.asdict(
+            _per_vector_record(2, 10, census.ALL_VECTORS, census.iter_vectors(2, 10, census.ALL_VECTORS, start, start + 64))
+        )}
+        for start in range(0, 1024, 64)
+    ]
     path.write_text(json.dumps(state))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shards outside the plan"):
         census.census_with_checkpoint(2, 10, census.ALL_VECTORS, path)
-    state["shard_size"] = 64
+    state["shards"] = good
     state["version"] = "0.0.0"
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError):
@@ -306,13 +342,18 @@ def test_checkpoint_rejects_other_shard_size(tmp_path):
 
 @pytest.mark.parametrize("b, n, space", ((2, 8, census.ALL_VECTORS), (3, 5, census.EXACT_DEGREE), (2, 2, census.ALL_VECTORS)))
 def test_shard_plan_is_contiguous(b, n, space):
-    jobs = census._jobs(b, n, space)
+    # n ranges, t = 0 the top one.  In all-vectors range t holds the
+    # (b-1) * b^(n-1-t) vectors x^t * c, and the last one the zero vector
+    # too; in exact-degree, the cores c of degree n-1-t
+    plan = _plan(b, n, space)
     size = census.space_size(b, n, space)
-    step = -(-size // census.SHARDS)
-    assert len(jobs) <= census.SHARDS
-    assert all(end - start == step for start, end in jobs[:-1])
-    assert [start for start, _ in jobs] == [0] + [end for _, end in jobs[:-1]]
-    assert jobs[-1][1] == size
+    assert len(plan) == n and plan[0][1] == size and plan[-1][0] == 0
+    assert [start for start, _ in plan[:-1]] == [end for _, end in plan[1:]]
+    if space == census.ALL_VECTORS:
+        widths = [(b - 1) * b ** (n - 1 - t) for t in range(n - 1)] + [b]
+    else:
+        widths = [(b - 1) ** 2 * b ** (n - 2 - t) for t in range(n - 1)] + [b - 1]
+    assert [end - start for start, end in plan] == widths
 
 
 def test_checkpoint_resumes_at_another_worker_count(tmp_path):
@@ -324,7 +365,7 @@ def test_checkpoint_resumes_at_another_worker_count(tmp_path):
     rec = census.census_with_checkpoint(2, 14, census.ALL_VECTORS, path, workers=2)
     assert rec == census.census(2, 14)
     state = json.loads(path.read_text())
-    assert len(state["shards"]) == census.SHARDS
+    assert sorted(s["range_end"] for s in state["shards"]) == [2**k for k in range(1, 15)]
 
 
 @pytest.mark.parametrize("extra", ("duplicate", "foreign"))
@@ -335,7 +376,7 @@ def test_checkpoint_rejects_repeated_or_foreign_shards(tmp_path, extra):
     if extra == "duplicate":
         state["shards"].append(state["shards"][0])
     else:
-        part = census._count_range(2, 8, census.ALL_VECTORS, 0, 7, census._reducible_flags(2, 8))
+        part = _per_vector_record(2, 8, census.ALL_VECTORS, census.iter_vectors(2, 8, census.ALL_VECTORS, 0, 7))
         state["shards"].append({"range_start": 0, "range_end": 7, "partial": dataclasses.asdict(part)})
     path.write_text(json.dumps(state))
     with pytest.raises(ValueError, match="repeated shards or shards outside the plan"):
@@ -381,9 +422,10 @@ def test_checkpoint_survives_an_interruption(tmp_path, monkeypatch, workers):
         census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     monkeypatch.undo()
     state = json.loads(path.read_text())
-    assert state["tally"] == "vectors"
-    # each shard counts the nonzero vectors of its own range
-    assert [(s["range_end"], s["partial"]["total"]) for s in state["shards"]] == [(16, 15), (32, 16), (48, 16)]
+    assert state["tally"] == "valuations"
+    # each shard counts the nonzero vectors of its own range, x^t * c for
+    # t = 0, 1, 2
+    assert [(s["range_end"], s["partial"]["total"]) for s in state["shards"]] == [(256, 128), (128, 64), (64, 32)]
     rec = census.census_with_checkpoint(2, 8, census.ALL_VECTORS, path, workers=workers)
     assert rec == census.census(2, 8)
     state = json.loads(path.read_text())
@@ -441,16 +483,16 @@ def test_checkpoint_rejects_counts_that_do_not_add_up(tmp_path):
 
 def test_checkpoint_rejects_a_per_vector_tally(tmp_path):
     # the layouts of earlier tallies, with this census's ranges and counts:
-    # no marker (each shard counted its own vectors before the orbit tally)
-    # and the orbit tally's marker
+    # no marker (each shard counted its own vectors before the orbit tally),
+    # the orbit tally's marker and that of the index ranges
     path, state = _checkpoint(tmp_path)
     for entry in state["shards"]:
         vectors = census.iter_vectors(2, 6, census.ALL_VECTORS, entry["range_start"], entry["range_end"])
         assert entry["partial"] == dataclasses.asdict(_per_vector_record(2, 6, census.ALL_VECTORS, vectors))
-    for marker in (None, "orbits"):
+    for marker in (None, "orbits", "vectors"):
         header = {key: value for key, value in state.items() if key != "tally"}
         path.write_text(json.dumps(header if marker is None else {**header, "tally": marker}))
-        with pytest.raises(ValueError, match="different census, shard size, tally or version"):
+        with pytest.raises(ValueError, match="different census, tally or version"):
             census.census_with_checkpoint(2, 6, census.ALL_VECTORS, path)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from maxminpoly import __version__, census, cli, core, factor, series
+from test_census import _per_vector_record
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -200,16 +201,18 @@ def test_resume_with_threads_writes_the_shard_plan(pools, tmp_path, capsys):
     assert pools == [{"max_workers": 2}]
     assert rep["record"] == dataclasses.asdict(census.census(2, 14))
     state = json.loads((tmp_path / "ck.json").read_text())
-    assert state["shard_size"] == 2**14 // 16
+    assert "shard_size" not in state and state["tally"] == "valuations"
+    # the valuation ranges, t = 0 first: x^t * c has an index in [2^(13-t), 2^(14-t))
     ranges = [(s["range_start"], s["range_end"]) for s in state["shards"]]
-    assert ranges == [(k * 1024, (k + 1) * 1024) for k in range(16)]
+    assert ranges == [(2 ** (13 - t), 2 ** (14 - t)) for t in range(13)] + [(0, 2)]
 
 
 def test_resume_rejects_an_older_shard_layout(tmp_path, capsys):
     # the header a fixed 2^16-vector shard size wrote at b=2 n=14
     path = tmp_path / "ck.json"
     header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 65536, "version": __version__}
-    part = census._count_range(2, 14, census.ALL_VECTORS, 0, 2**14, census._reducible_flags(2, 14))
+    # its one shard counted the whole space
+    part = census.census(2, 14)
     path.write_text(json.dumps({**header, "shards": [{"range_start": 0, "range_end": 2**14, "partial": dataclasses.asdict(part)}]}))
     code = cli.main(["census", "--b", "2", "--n", "14", "--resume", str(path)])
     captured = capsys.readouterr()
@@ -231,9 +234,8 @@ def test_resume_rejects_a_per_vector_checkpoint(tmp_path, capsys):
     path = tmp_path / "ck.json"
     header = {"b": 2, "n": 8, "space": census.ALL_VECTORS, "shard_size": 16, "version": __version__}
     shards = []
-    reducible = census._reducible_flags(2, 8)
     for start in range(0, 2**8, 16):
-        part = census._count_range(2, 8, census.ALL_VECTORS, start, start + 16, reducible)
+        part = _per_vector_record(2, 8, census.ALL_VECTORS, census.iter_vectors(2, 8, census.ALL_VECTORS, start, start + 16))
         shards.append({"range_start": start, "range_end": start + 16, "partial": dataclasses.asdict(part)})
     assert sum(s["partial"]["total"] for s in shards) == 2**8 - 1
     path.write_text(json.dumps({**header, "shards": shards}))
@@ -241,6 +243,21 @@ def test_resume_rejects_a_per_vector_checkpoint(tmp_path, capsys):
     # and the orbit tally's header
     path.write_text(json.dumps({**header, "tally": "orbits", "shards": shards}))
     assert "tally" in _resume_fails_in_one_line(capsys, path, 8)
+
+
+def test_resume_rejects_a_checkpoint_of_index_ranges(tmp_path, capsys):
+    # the layout of the sixteen index ranges at b=2 n=14: their shard size,
+    # the tally marker "vectors" and each range's per-vector tally
+    path = tmp_path / "ck.json"
+    header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 1024, "tally": "vectors", "version": __version__}
+    shards = []
+    for start in range(0, 2**14, 1024):
+        part = _per_vector_record(2, 14, census.ALL_VECTORS, census.iter_vectors(2, 14, census.ALL_VECTORS, start, start + 1024))
+        shards.append({"range_start": start, "range_end": start + 1024, "partial": dataclasses.asdict(part)})
+    assert sum(s["partial"]["total"] for s in shards) == 2**14 - 1
+    path.write_text(json.dumps({**header, "shards": shards}))
+    assert "tally" in _resume_fails_in_one_line(capsys, path, 14)
+    assert json.loads(path.read_text()) == {**header, "shards": shards}
 
 
 # `census --resume` with each sieve degree slowed down and recorded as it
@@ -273,7 +290,7 @@ def test_interrupted_threaded_resume_ends_and_keeps_the_checkpoint(tmp_path):
     # checkpoint as it was, here one with no shard counted yet
     path, started = tmp_path / "ck.json", tmp_path / "started"
     started.mkdir()
-    header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "shard_size": 2**10, "tally": "vectors", "version": __version__}
+    header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "tally": "valuations", "version": __version__}
     before = json.dumps({**header, "shards": []})
     path.write_text(before)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}

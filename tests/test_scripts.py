@@ -79,10 +79,24 @@ def test_census_ab_alternates_two_trees():
     for cell in report["cells"]:
         assert cell["same_record"] is True
         assert [len(cell[side]["seconds"]) for side in ("parent", "change")] == [2, 2]
-    # stderr logs one line per run, the sides alternating first
+        # each run's peak RSS, at least that of an interpreter with numpy
+        for side in ("parent", "change"):
+            rss = cell[side]["peak_rss_mb"]
+            assert len(rss) == 2 and all(r > 10 for r in rss)
+            assert min(rss) <= cell[side]["peak_rss_median"] <= max(rss)
+    # stderr logs one line per run, its time and its peak RSS, the sides
+    # alternating first
     log = [line.split() for line in proc.stderr.splitlines()]
     assert [line[3] for line in log] == ["parent", "change", "change", "parent"] * 3
     assert [line[1] for line in log[::4]] == ["census", "census", "partition"]
+    assert all(line[5] == "s" and line[7] == "MB" and float(line[6]) > 10 for line in log)
+    # --runs keeps the runs named
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "census_ab.py"), "--parent", str(ROOT), "--rounds", "1", "--cells", "2:6", "--runs", "census:exact-degree"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [(c["op"], c["space"]) for c in json.loads(proc.stdout)["cells"]] == [("census", "exact-degree")]
 
 
 def test_frontier_alternates_two_trees_and_prints_json():
