@@ -22,11 +22,10 @@ weighted sum over degrees (`_range_record`, the one count rule): in
 all-vectors a core of degree m stands for its n - m shifts, in
 exact-degree for one, and only the unshifted vectors, t = 0, hold
 candidates.  No vector is decided, and none is marked, one at a time:
-the largest array is the marks of the cores of the top degree.  A
-core's number of digits >= s is read from tables of its high and its
-low digits (`_level_counts`), and `_index_rows` is the one decoder of
-indices to digit rows, `iter_vectors` included.  With more than one
-worker the degrees run on worker processes.
+the largest array is the marks of the cores of the top degree.  A core
+is held only as its plane words, read from tables (`_core_words`), and
+its number of digits >= s is the popcount of its plane s.  With more
+than one worker the degrees run on worker processes.
 
 The shard plan of the checkpointed census is the n valuation ranges of
 the space (`_valuation_range`): range t holds the vectors x^t * c, a
@@ -39,22 +38,22 @@ runs the sieve's degrees and the density sampler's chunks.
 The partition census splits the same space into seven deviation classes
 keyed on support sizes and factorization shapes, evaluating the explicit
 tail bound attached to each class; it classifies the cores of each
-degree once, from the same core products and digit-count tables, with
-weight n - m.  Enumeration order is lexicographic on the coefficient
-vectors, so shard ranges are well-defined and resumable.
+degree once, from the same core products and popcounts, with weight
+n - m.  Enumeration order is lexicographic on the coefficient vectors,
+so shard ranges are well-defined and resumable.
 
 The two exhaustive pair enumerations, the sieve (with the partition) and
 the close-pair count, run on core's block product (`_times_block`): a
-block of second factors multiplies a block of first factors, each held
-as one uint64 word per plane, in a few numpy steps per coefficient
-position, with at most BLOCK_ROWS plane words to a block of products, so
-no Python code runs per factor pair or per vector.
+chunk of second factors multiplies a block of first factors, all held as
+plane words, in a few numpy steps per coefficient position, so no Python
+code runs per factor pair or per vector.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -68,7 +67,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .core import BLOCK_ROWS, MaxMinPoly, _pack_rows, _times_block, _trim, check_base
+from .core import BLOCK_ROWS, WORD, MaxMinPoly, _times_block, _trim, check_base
 from .errors import BoundExceeded, BudgetExceeded
 
 ALL_VECTORS = "all-vectors"
@@ -200,11 +199,11 @@ def _valuation_range(b: int, n: int, space: str, t: int) -> tuple[int, int]:
     return (space_size(b, n - 1 - t, space) if t < n - 1 else 0, space_size(b, n - t, space))
 
 
-def _cores(b: int, m: int) -> tuple[int, int]:
-    """The exact-degree indices (start, end), among vectors of m+1 digits,
-    of the cores of degree m, the vectors with both end digits nonzero:
-    range 0 of that space.  A core's rank is its index minus start."""
-    return _valuation_range(b, m + 1, EXACT_DEGREE, 0)
+def _cores(b: int, m: int) -> range:
+    """The exact-degree indices, among vectors of m+1 digits, of the cores
+    of degree m, the vectors with both end digits nonzero: range 0 of
+    that space.  A core's rank is its index minus the range's start."""
+    return range(*_valuation_range(b, m + 1, EXACT_DEGREE, 0))
 
 
 def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force: bool = False) -> CensusRecord:
@@ -219,52 +218,48 @@ def census(b: int, n: int, space: str = ALL_VECTORS, *, workers: int = 1, force:
 # -- the product sieve --------------------------------------------------------
 
 
-def _core_products(b: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _core_products(b: int, m: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Every product g*f of two cores of degrees dg <= df with dg + df = m,
-    in chunks (gs, fs, rank): gs and fs blocks of digit rows, and rank the
-    place among the cores of degree m of the product of each pair (g, f),
-    g-major.
+    in chunks (dg, gs, fs, rank): gs and fs blocks of plane words
+    (`_core_words`), the g of degree dg, and rank the place among the
+    cores of degree m of each product g*f, g-major.
 
     The end digits of g*f are the minima of those of g and f, so a product
-    of cores is a core.  The f come in blocks of BLOCK_ROWS / (b-1)
-    factors, and each is multiplied by as many g at once as keep the
-    products within BLOCK_ROWS plane words.  At equal degrees both orders
-    of a pair take part.
+    of cores is a core.  The g and the f come in blocks of BLOCK_ROWS /
+    (b-1) factors, and each f block is multiplied by as many g at once as
+    keep the products within BLOCK_ROWS plane words.  At equal degrees
+    both orders of a pair take part.
     """
     tables = _index_tables(b, m)
     # the tables add up to a core's exact-degree index plus 1
-    offset = -1 - _cores(b, m)[0]
+    offset = -1 - _cores(b, m).start
     rows = max(1, BLOCK_ROWS // (b - 1))
     for dg in range(1, m // 2 + 1):
-        gs = _index_rows(b, dg + 1, EXACT_DEGREE, *_cores(b, dg))
-        f_start, f_end = _cores(b, m - dg)
-        for lo in range(f_start, f_end, rows):
-            fs = _index_rows(b, m - dg + 1, EXACT_DEGREE, lo, min(lo + rows, f_end))
-            block = _pack_rows(b, fs)
-            step = max(1, rows // len(fs))
-            for k in range(0, len(gs), step):
-                prod = _times_block(block, gs[k : k + step]).astype("<u8", copy=False)
-                octets = prod.view(np.uint8).reshape(*prod.shape, 8)
-                rank = np.full((len(prod), len(fs)), offset, dtype=np.int64)
+        g_count, f_count = len(_cores(b, dg)), len(_cores(b, m - dg))
+        for g_lo, f_lo in itertools.product(range(0, g_count, rows), range(0, f_count, rows)):
+            gs = _core_words(b, dg, np.arange(g_lo, min(g_lo + rows, g_count)))
+            fs = _core_words(b, m - dg, np.arange(f_lo, min(f_lo + rows, f_count)))
+            for chunk, prod in _times_block(fs, gs):
+                octets = prod.astype("<u8", copy=False).view(np.uint8).reshape(*prod.shape, 8)
+                rank = np.full((len(prod), fs.shape[1]), offset, dtype=np.int64)
                 for s in range(b - 1):
                     for t, table in enumerate(tables):
                         rank += table[octets[:, s, :, t]]
-                yield gs[k : k + step], fs, rank.ravel()
+                yield dg, chunk, fs, rank.ravel()
 
 
 def _sieve_degree(b: int, m: int) -> tuple[int, int]:
     """The reducible cores of degree m: how many, and how many of them have
     a digit b-1.  Each product marks its rank; the marks are then counted a
     block at a time."""
-    start, end = _cores(b, m)
-    marks = np.zeros(end - start, dtype=bool)
-    for _, _, rank in _core_products(b, m):
+    marks = np.zeros(len(_cores(b, m)), dtype=bool)
+    for *_, rank in _core_products(b, m):
         marks[rank] = True
     reducible = top = 0
-    for lo in range(0, end - start, BLOCK_ROWS):
+    for lo in range(0, len(marks), BLOCK_ROWS):
         rank = np.flatnonzero(marks[lo : lo + BLOCK_ROWS]) + lo
         reducible += len(rank)
-        top += int(np.count_nonzero(_level_counts(b, m, rank, b - 1)[0]))
+        top += int(np.count_nonzero(_core_words(b, m, rank, b - 1)))
     return reducible, top
 
 
@@ -302,28 +297,77 @@ def _range_record(b: int, n: int, space: str, t: int, reducible: Sequence[tuple[
     return CensusRecord(b, n, space, total, monomials, total - monomials - red, red, candidates, primes)
 
 
+def _index_rows(b: int, n: int, space: str, start: int, end: int) -> np.ndarray:
+    """The vectors of a lexicographic index range as uint8 digit rows, the
+    decoder of `iter_vectors`.  It decodes in int64, which covers spaces
+    below 2^63 vectors."""
+    exact = space == EXACT_DEGREE
+    idx = np.arange(start, end, dtype=np.int64)
+    digits = np.empty((end - start, n), dtype=np.uint8)
+    for pos in range(n - 1, -1, -1):
+        # an exact-degree leading digit is 1 + a digit of radix b-1; numpy
+        # divides by a scalar faster than np.divmod does
+        radix = b - 1 if exact and pos == n - 1 else b
+        q = idx // radix
+        digits[:, pos] = idx - q * radix
+        idx = q
+    if exact:
+        digits[:, n - 1] += 1
+    return digits
+
+
 @functools.cache
-def _level_table(b: int, k: int, s: int) -> np.ndarray:
-    """Per all-vectors index of the vectors of k digits, its number of
-    digits >= s, built once per process, read-only.  The table of k
-    digits extends that of k-1: index i*b + d adds the digit d to the
-    vector of index i."""
-    if k == 0:
-        table = np.zeros(1, dtype=np.uint8)
-    else:
-        table = (_level_table(b, k - 1, s)[:, None] + (np.arange(b) >= s)).ravel()
+def _index_tables(b: int, m: int) -> np.ndarray:
+    """Per byte t of a plane word, the table of the byte's share of the
+    exact-degree index plus 1 of a vector of m+1 digits: entry x is the sum
+    of w_k over the bits k of x << 8t up to m, with w_k = (b-1) * b^(m-1-k)
+    below the lead and w_m = 1.  A vector's index plus 1 is the sum of
+    these shares over the bytes of its planes, as coefficient k counts the
+    planes holding bit k.  Built once per (b, m) and process, read-only."""
+    weights = [(b - 1) * b ** (m - 1 - k) for k in range(m)] + [1] + [0] * (-(m + 1) % 8)
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    tables = np.stack([bits @ np.array(weights[t : t + 8], dtype=np.int64) for t in range(0, len(weights), 8)])
+    tables.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _plane_table(b: int, k: int) -> np.ndarray:
+    """The plane words of every vector of k digits by all-vectors index:
+    column i holds planes 1..b-1 (rows 0..b-2) of the vector of index i,
+    bit p for coefficient p.  Built once per process, read-only.  The
+    table of k digits extends that of k-1: index i*b + d adds the digit d,
+    at position k-1, to the vector of index i."""
+    table = np.zeros((b - 1, 1), dtype=np.uint64)
+    if k:
+        digit = (np.arange(b) >= np.arange(1, b)[:, None]).astype(np.uint64) << np.uint64(k - 1)
+        table = (_plane_table(b, k - 1)[:, :, None] | digit[:, None, :]).reshape(b - 1, -1)
     table.flags.writeable = False
     return table
 
 
-def _level_counts(b: int, m: int, rank: np.ndarray, *levels: int) -> list[np.ndarray]:
-    """Per level s and per core of degree m in `rank`, its number of digits
-    >= s, read from the tables of its high and its low digits at its
-    all-vectors index among vectors of m+1 digits."""
-    q, r = np.divmod(rank + _cores(b, m)[0], b - 1)
-    low = (m + 1) // 2
-    upper, lower = np.divmod(q * b + r + 1, b**low)
-    return [_level_table(b, m + 1 - low, s)[upper] + _level_table(b, low, s)[lower] for s in levels]
+def _core_words(b: int, m: int, rank: np.ndarray, level: int | None = None) -> np.ndarray:
+    """The plane words of the cores of degree m at `rank`, one C-ordered
+    column per core, or with a level s only plane s, one word per core.
+    A core's all-vectors index among vectors of m+1 digits is q*b + r + 1
+    = i + q + 1, (q, r) = divmod(its exact-degree index i, b-1).  Its
+    words are the OR of the `_plane_table` columns of its digits cut
+    evenly into chunks of at most c digits, c >= 1 the largest with
+    (b-1) * b^c <= BLOCK_ROWS."""
+    index = rank + _cores(b, m).start
+    index += index // (b - 1) + 1
+    c = 1
+    while (b - 1) * b ** (c + 1) <= BLOCK_ROWS:
+        c += 1
+    words = np.zeros(len(rank) if level else (b - 1, len(rank)), dtype=np.uint64)
+    end = m + 1
+    for chunks in range(-(-end // c), 0, -1):
+        size = end // chunks
+        high = index // b**size
+        table = _plane_table(b, size)
+        words |= (table[level - 1] if level else table).take(index - high * b**size, axis=-1) << np.uint64(end - size)
+        index, end = high, end - size
+    return words
 
 
 # -- checkpointed census ------------------------------------------------------
@@ -481,40 +525,6 @@ class PartitionCensus:
         return self.sizes[2]
 
 
-def _index_rows(b: int, n: int, space: str, start: int, end: int) -> np.ndarray:
-    """The vectors of a lexicographic index range as uint8 digit rows, the
-    one index decoder.  It decodes in int64, which covers spaces below
-    2^63 vectors."""
-    exact = space == EXACT_DEGREE
-    idx = np.arange(start, end, dtype=np.int64)
-    digits = np.empty((end - start, n), dtype=np.uint8)
-    for pos in range(n - 1, -1, -1):
-        # an exact-degree leading digit is 1 + a digit of radix b-1; numpy
-        # divides by a scalar faster than np.divmod does
-        radix = b - 1 if exact and pos == n - 1 else b
-        q = idx // radix
-        digits[:, pos] = idx - q * radix
-        idx = q
-    if exact:
-        digits[:, n - 1] += 1
-    return digits
-
-
-@functools.cache
-def _index_tables(b: int, m: int) -> np.ndarray:
-    """Per byte t of a plane word, the table of the byte's share of the
-    exact-degree index plus 1 of a vector of m+1 digits: entry x is the sum
-    of w_k over the bits k of x << 8t up to m, with w_k = (b-1) * b^(m-1-k)
-    below the lead and w_m = 1.  A vector's index plus 1 is the sum of
-    these shares over the bytes of its planes, as coefficient k counts the
-    planes holding bit k.  Built once per (b, m) and process, read-only."""
-    weights = [(b - 1) * b ** (m - 1 - k) for k in range(m)] + [1] + [0] * (-(m + 1) % 8)
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    tables = np.stack([bits @ np.array(weights[t : t + 8], dtype=np.int64) for t in range(0, len(weights), 8)])
-    tables.flags.writeable = False
-    return tables
-
-
 def _partition_explicit_bounds(b: int, n: int, d: Fraction, v: Fraction, a: int) -> tuple[float, ...]:
     """The seven class bounds; a bound that overflows a float is inf."""
     df = float(d)
@@ -574,20 +584,17 @@ def partition_census(b: int, n: int, params: BoundParams, *, force: bool = False
     sizes = np.zeros(8, dtype=np.int64)
     sigma = 0
     for m in range(n):
-        start, end = _cores(b, m)
-        marks = np.zeros(end - start, dtype=np.uint8)
-        for gs, fs, rank in _core_products(b, m):
-            g_a, f_a = (np.count_nonzero(x >= a, axis=1) for x in (gs, fs))
-            pair_nnz = np.count_nonzero(gs, axis=1)[:, None] + np.count_nonzero(fs, axis=1)
+        marks = np.zeros(len(_cores(b, m)), dtype=np.uint8)
+        for dg, gs, fs, rank in _core_products(b, m):
+            (g_nnz, g_a), (f_nnz, f_a) = (np.bitwise_count(x[[0, a - 1]]).astype(np.uint16) for x in (gs, fs))
             thin = (g_a[:, None] <= 1) | (f_a <= 1)
-            # every product is reducible (class 7), and gs holds the factor
-            # of the smaller degree (class 5)
-            fixed = np.uint8(64 | 16 * (gs.shape[1] - 1 <= v))
-            bits = far1_pair[pair_nnz] | far_a_pair[g_a[:, None] + f_a] | np.uint8(32) * thin | fixed
+            # every product is reducible (class 7), and dg <= deg f (class 5)
+            fixed = np.uint8(64 | 16 * (dg <= v))
+            bits = far1_pair[g_nnz[:, None] + f_nnz] | far_a_pair[g_a[:, None] + f_a] | np.uint8(32) * thin | fixed
             np.bitwise_or.at(marks, rank, bits.ravel())
-        for lo in range(0, end - start, BLOCK_ROWS):
+        for lo in range(0, len(marks), BLOCK_ROWS):
             block = marks[lo : lo + BLOCK_ROWS]
-            nnz, nnz_a = _level_counts(b, m, np.arange(lo, lo + len(block)), 1, a)
+            nnz, nnz_a = (np.bitwise_count(_core_words(b, m, np.arange(lo, lo + len(block)), s)) for s in (1, a))
             sizes += (n - m) * np.bincount(first[block | far1[nnz] | far_a[nnz_a]], minlength=8)
         sigma += (n - m) * int(np.count_nonzero(marks & 64))
     if sizes[1:].sum() < sigma:
@@ -619,33 +626,30 @@ def close_pair_count(n: int, k: int, d: int, *, force: bool = False) -> int:
 
     A factor is one bitmask word, its own one-plane packing.  The f are
     1 + i*x + x^k and the g are i + x^(n-k); the larger family comes in
-    blocks of up to BLOCK_ROWS words, each multiplied by as many factors
-    of the smaller family, as digit rows, as keep a chunk within
-    BLOCK_ROWS products.  A product has n+1 bits, so n is at most 63.
+    blocks of up to BLOCK_ROWS words, each multiplied by as many words of
+    the smaller family as keep a chunk within BLOCK_ROWS products.  A
+    product has n+1 bits, so n is at most WORD - 1.
     A count over the ceiling raises BoundExceeded."""
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     if d < 0:
         raise ValueError("need d >= 0")
-    if n > 63:
-        raise ValueError(f"need n <= 63 for 64-bit products, got {n}")
+    if n >= WORD:
+        raise ValueError(f"need n <= {WORD - 1} for {WORD}-bit products, got {n}")
     _check_budget(2 ** (n - 1), f"2^{n - 1} pairs", force)
     # each family as (size, shift of i, fixed bits)
     families = sorted([(1 << (k - 1), 1, 1 | 1 << k), (1 << (n - k), 0, 1 << (n - k))])
     (few, few_shift, few_bits), (many, shift, bits) = families
     xs = np.arange(few, dtype=np.uint64) << np.uint64(few_shift) | np.uint64(few_bits)
-    digits = (xs[:, None] >> np.arange(few_bits.bit_length(), dtype=np.uint64) & np.uint64(1)).astype(np.uint8)
-    # f*g holds a shifted copy of each factor, so the uint8 difference
-    # |f*g| - |block factor| is >= 0, and at most |x| + d for a close pair
-    limits = np.bitwise_count(xs).astype(np.int64)[:, None] + d
     count = 0
     for lo in range(0, many, BLOCK_ROWS):
         block = np.arange(lo, min(lo + BLOCK_ROWS, many), dtype=np.uint64) << np.uint64(shift) | np.uint64(bits)
         block_size = np.bitwise_count(block)
-        step = max(1, BLOCK_ROWS // len(block))
-        for i in range(0, few, step):
-            prod = _times_block(block[None], digits[i : i + step])[:, 0]
-            count += int(np.count_nonzero(np.bitwise_count(prod) - block_size <= limits[i : i + step]))
+        for chunk, prod in _times_block(block[None], xs[None]):
+            # f*g holds a shifted copy of each factor, so the uint8 difference
+            # |f*g| - |block factor| is >= 0, and at most |x| + d for a close pair
+            limits = np.bitwise_count(chunk[0]).astype(np.int64)[:, None] + d
+            count += int(np.count_nonzero(np.bitwise_count(prod[:, 0]) - block_size <= limits))
     bound = close_pair_bound(n, k, d)
     if count > bound:
         raise BoundExceeded(f"close-pair count {count} exceeds the bound n^(2d+2) * 2^k = {bound}")

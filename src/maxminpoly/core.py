@@ -22,10 +22,10 @@ term list as a list.  mul_coeffs and the searches and stream products of
 the other modules all use it; stream products read their digits back as
 bytes (_unpack_bytes), not as a tuple.  The kernel has a block form
 (_times_block) for the exhaustive pair enumerations of the census: a
-block of first factors is a numpy array with one row per plane and one
-uint64 word per factor (_pack_rows packs digit rows so), and a block of
-second factors, as digit rows, multiplies every factor in one masked
-shift and OR per coefficient position.
+block of factors is a numpy array with one row per plane and one uint64
+word (WORD bits) per factor, and a chunk of second factors, in the same
+form, multiplies every first factor in one masked shift and OR per
+coefficient position.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -234,39 +234,34 @@ def _times(q: int, terms: Iterable[tuple[int, Sequence[int]]]) -> int:
     return prod
 
 
-def _pack_rows(b: int, digits: np.ndarray) -> np.ndarray:
-    """The block form of _pack: digit rows (one coefficient tuple per row,
-    at most 64 coefficients) as plane words, row s-1 holding plane
-    s = {k : c_k >= s} of each digit row, s = 1..b-1, with bit k for
-    coefficient k.  The words are built one coefficient position at a
-    time, so no temporary holds a word per digit."""
-    words = np.zeros((b - 1, len(digits)), dtype=np.uint64)
-    levels = np.arange(1, b, dtype=digits.dtype)[:, None]
-    for k in range(digits.shape[1]):
-        words |= (digits[:, k] >= levels).astype(np.uint64) << np.uint64(k)
-    return words
+def _times_block(block: np.ndarray, gs: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The block form of _times: the plane words of g*f for every factor g
+    of gs and every factor f of block (both one row per plane, one word
+    per factor), as pairs (chunk, products) for chunks of as many g as
+    keep their products within BLOCK_ROWS words, the products of shape
+    (g, planes, f).  Plane s of g*f is the OR of (plane s of f) << j over
+    the j in plane s of g, so per position j, up to the bit length of the
+    OR of the g's plane 1, the block is shifted once and ORed into the
+    planes of each g that hold bit j.  Needs len(f) + len(g) - 1 <= WORD.
 
-
-def _times_block(block: np.ndarray, gs: np.ndarray) -> np.ndarray:
-    """The block form of _times: the plane words of g*f for every digit row
-    g of gs and every factor f of block (one row per plane, one word per
-    factor, as _pack_rows makes them), in an array of shape (len(gs),
-    planes, factors).  Plane s of a product is the OR of (plane s of f) << j
-    over the j with g_j >= s, so per position j the block is shifted once
-    and ORed, for each g, into its planes 1..g_j.  Needs len(f) + len(g) - 1
-    <= 64.
-
-    The shifted block is one buffer and the OR is masked in place, so no
-    position allocates a temporary of the products' size: freed at every
-    position, such temporaries make the allocator hand heap pages back
-    and fault them in again (36k page faults in a b=10 n=5 census)."""
-    prod = np.zeros((len(gs), *block.shape), dtype=np.uint64)
+    Every chunk reuses two buffers, the products and the shifted block,
+    and ORs in place: block-sized buffers freed per chunk made the
+    allocator return heap pages and fault them in again (12k page faults
+    in a b=10 n=5 census, 0.5k now).  Yielded products are overwritten by
+    the next chunk."""
+    step = max(1, BLOCK_ROWS // block.size)
+    positions = np.arange(int(np.bitwise_or.reduce(gs[0])).bit_length(), dtype=np.uint64)
+    # the mask of position j: bit j of each plane of each g
+    masks = (gs.T[:, :, None] >> positions & np.uint64(1)).astype(bool)
+    prod = np.empty((min(step, len(masks)), *block.shape), dtype=np.uint64)
     shifted = np.empty_like(block)
-    levels = np.arange(1, len(block) + 1)
-    for j in range(gs.shape[1]):
-        np.left_shift(block, np.uint64(j), out=shifted)
-        np.bitwise_or(prod, shifted, out=prod, where=(gs[:, j, None] >= levels)[:, :, None])
-    return prod
+    for k in range(0, len(masks), step):
+        out = prod[: len(masks) - k]
+        out.fill(0)
+        for j in positions:
+            np.left_shift(block, j, out=shifted)
+            np.bitwise_or(out, shifted, out=out, where=masks[k : k + step, :, j, None])
+        yield gs[:, k : k + step], out
 
 
 def mul_coeffs(fa: Sequence[int], ga: Sequence[int]) -> tuple[int, ...]:

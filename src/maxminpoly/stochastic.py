@@ -8,14 +8,14 @@ counts its irreducible draws (`_density_chunk`) in two steps.  First it
 screens them all at once with the plane-word form of the divisor
 search's root test (`factor._root_screen`), a fixed number of numpy
 steps per block of the chunk's digit matrix; a nonzero non-monomial
-draw with every divisor degree cut is irreducible.  Then the search, the engine that the
-census's product sieve is tested against, decides each other draw on
-the degrees the screen kept.  Most large draws are irreducible and the
-screen cuts most of them, so most draws never reach the search.  Draws
-longer than one 64-bit word, and chunks too small to pay for the
-screen, go to the search with every degree.  An exhaustive run takes
-the census's record, whose classes, candidates and primes are counted
-per core degree by `census._range_record` alone.
+draw with every divisor degree cut is irreducible.  Then the search,
+the engine that the census's product sieve is tested against, decides
+each other draw on the degrees the screen kept.  Most large draws are
+irreducible and the screen cuts most of them, so most draws never reach
+the search.  Draws of more than `core.WORD` digits, and chunks too
+small to pay for the screen, go to the search with every degree.  An
+exhaustive run takes the census's record, whose classes, candidates and
+primes are counted per core degree by `census._range_record` alone.
 Every report records the generator identity.
 """
 

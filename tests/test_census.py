@@ -8,6 +8,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maxminpoly import census, core, factor
@@ -258,8 +259,53 @@ def test_sieve_across_block_boundaries(monkeypatch):
         for b, n in cells
     }
     monkeypatch.setattr(census, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 3)
     for (b, n), want in expected.items():
         assert (census.census(b, n), census.census(b, n, census.EXACT_DEGREE), census.partition_census(b, n, params)) == want
+
+
+def _planes(b, digits):
+    # planes 1..b-1 of digit rows as words, bit k where digit k is >= s
+    words = np.zeros((b - 1, len(digits)), dtype=np.uint64)
+    for k, column in enumerate(digits.T):
+        words |= (column >= np.arange(1, b)[:, None]).astype(np.uint64) << np.uint64(k)
+    return words
+
+
+@pytest.mark.parametrize("block_rows", (None, 3))
+@pytest.mark.parametrize("b, top", ((2, 6), (3, 6), (10, 6), (256, 2)))
+def test_core_words_are_the_planes_of_pack(monkeypatch, b, top, block_rows):
+    # the cores of every degree m <= top, all of them but at b=10 m=6 and
+    # b=256 m=2 (8.1M and 16.6M cores), where 64 runs of 64 ranks from
+    # random starts and the two ends stand in: their words, in full and one
+    # plane at a time, are the planes of their digit rows, and those of
+    # core._pack (on every core of a degree with at most 1000, else on 8
+    # of each run); a chunk table holds at most BLOCK_ROWS words, or the
+    # (b-1) * b of one digit when BLOCK_ROWS is smaller
+    if block_rows:
+        monkeypatch.setattr(census, "BLOCK_ROWS", block_rows)
+    built = set()
+    plane_table = census._plane_table
+    monkeypatch.setattr(census, "_plane_table", lambda b, k: built.add(k) or plane_table(b, k))
+    rng = random.Random(b)
+    levels = range(1, b) if b <= 10 else (1, b // 2, b - 1)
+    for m in range(top + 1):
+        cores = census._cores(b, m)
+        count = len(cores)
+        sampled = count >= 1 << 20
+        run = 64 if sampled else 1 << 13
+        for lo in [0, count - 1, *rng.sample(range(count), 64)] if sampled else range(0, count, run):
+            rank = np.arange(lo, min(lo + run, count))
+            digits = census._index_rows(b, m + 1, census.EXACT_DEGREE, cores[lo], cores[lo] + len(rank))
+            words = census._core_words(b, m, rank)
+            assert words.flags.c_contiguous and np.array_equal(words, _planes(b, digits))
+            for s in levels:
+                assert np.array_equal(census._core_words(b, m, rank, s), words[s - 1])
+            picks = range(len(rank)) if count <= 1000 else {0, *range(len(rank) - 1, 0, -max(1, len(rank) // 7))}
+            for k in picks:
+                packed = core._pack(b, digits[k].tolist(), core.WORD).to_bytes(8 * (b - 1), "little")
+                assert np.array_equal(words[:, k], np.frombuffer(packed, dtype="<u8"))
+    assert built and all(plane_table(b, k).size <= max(census.BLOCK_ROWS, (b - 1) * b) for k in built)
 
 
 @pytest.mark.parametrize("b", (3, 4, 10))
@@ -542,6 +588,7 @@ def test_close_pair_count_matches_brute_force():
 def test_close_pair_count_across_block_boundaries(monkeypatch):
     # three rows a block: both families span several blocks, the last one short
     monkeypatch.setattr(census, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(core, "BLOCK_ROWS", 3)
     for n in range(4, 9):
         for k in range(1, n):
             for d in (0, 1, 2):

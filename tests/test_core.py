@@ -167,19 +167,40 @@ def test_term_list_product_matches_reference(b):
             assert packed == core._pack(b, want, width)
 
 
+def _split(b, packed):
+    # the b-1 words of planes packed at stride WORD
+    return [packed >> core.WORD * s & (1 << core.WORD) - 1 for s in range(b - 1)]
+
+
+def _words(b, rows):
+    # core._pack's planes of each row, one row of words per plane
+    return np.array([_split(b, core._pack(b, row, core.WORD)) for row in rows], dtype=np.uint64).reshape(-1, b - 1).T
+
+
 @pytest.mark.parametrize("b", (2, 3, 10, 256))
-def test_pack_rows_matches_pack(b):
-    # 64-digit rows reach bit 63 of every plane word
+def test_times_block_matches_times(monkeypatch, b):
+    # random factors with a nonzero lead, whose products reach bit 63, and
+    # a lone top term and a zero among the second factors, in chunks of 1,
+    # of 4 (the last one short) and of all: every product of the block form
+    # is the _times product of the two packed factors
     rng = random.Random(b)
-    rows = [[rng.randrange(b) for _ in range(64)] for _ in range(40)]
-    rows += [[0] * 64, [b - 1] * 64, [0] * 63 + [b - 1], [b - 1] + [0] * 63]
-    for length in (64, 17, 1):
-        digits = np.array([row[:length] for row in rows], dtype=np.uint8)
-        words = core._pack_rows(b, digits)
-        assert words.shape == (b - 1, len(rows)) and words.dtype == np.uint64
-        for k, row in enumerate(digits.tolist()):
-            packed = core._pack(b, row, 64)
-            assert [int(w) for w in words[:, k]] == [packed >> (64 * s) & (2**64 - 1) for s in range(b - 1)]
+    for f_len in (1, 2, 23, 40, core.WORD):
+        g_len = core.WORD + 1 - f_len
+        fs = [[rng.randrange(b) for _ in range(f_len - 1)] + [rng.randrange(1, b)] for _ in range(6)]
+        gs = [[rng.randrange(b) for _ in range(g_len - 1)] + [rng.randrange(1, b)] for _ in range(4)]
+        gs += [[0] * (g_len - 1) + [b - 1], [0] * g_len]
+        want = [[_split(b, core._times(core._pack(b, f, core.WORD), core._terms(g, core.WORD))) for f in fs] for g in gs]
+        block = _words(b, fs)
+        for step in (1, 4, len(gs)):
+            monkeypatch.setattr(core, "BLOCK_ROWS", step * block.size + 1)
+            # yielded products are overwritten by the next chunk
+            chunks = [(chunk, prod.copy()) for chunk, prod in core._times_block(block, _words(b, gs))]
+            assert np.array_equal(np.concatenate([chunk for chunk, _ in chunks], axis=1), _words(b, gs))
+            assert [len(prod) for _, prod in chunks] == [min(step, len(gs) - k) for k in range(0, len(gs), step)]
+            prod = np.concatenate([prod for _, prod in chunks])
+            assert prod.dtype == np.uint64 and prod.transpose(0, 2, 1).tolist() == want
+        assert prod[:-1, 0].max() >> np.uint64(core.WORD - 1) == 1
+    assert list(core._times_block(block, _words(b, []))) == []
 
 
 def test_pack_of_no_planes_is_zero():
