@@ -11,8 +11,12 @@ frontier: per base, the largest n that finished under the cap.
 With --against TREE each cell also runs on the package in TREE/src, the
 two trees in alternation: the tree that goes first alternates from cell
 to cell, so both sides of a cell share the host's phase.  Each tree
-stops at its own cap.  --json prints one JSON object instead of the
-table: the cells, the cap, each tree's commit and the machine facts.
+stops at its own cap.  The stdout of a cell that both trees finished is
+compared byte for byte; once the grid is done the script exits nonzero,
+naming the first cell whose outputs differ.  --json prints one JSON
+object instead of the table: the cells (with "same_output", true, false
+or null when a side did not finish), the cap, each tree's commit and the
+machine facts.
 Each run is logged to stderr as it ends.
 Standard library only; "this" tree is the one next to this script.
 
@@ -45,9 +49,9 @@ def parse_cell_list(text: str) -> tuple[int, list[int]]:
     return int(b), sorted(int(n) for n in ns.split(","))
 
 
-def run_cell(tree: Path, b: int, n: int, cap: float) -> float | None:
-    """Wall seconds of one density run on the package in tree/src, or None
-    once it reaches the cap."""
+def run_cell(tree: Path, b: int, n: int, cap: float) -> tuple[float, str] | None:
+    """Wall seconds and stdout of one density run on the package in
+    tree/src, or None once it reaches the cap."""
     argv = [sys.executable, "-m", "maxminpoly.cli", "density", "--b", str(b), "--n", str(n),
             "--trials", str(TRIALS), "--seed", str(SEED)]
     src = str(tree / "src")
@@ -59,7 +63,7 @@ def run_cell(tree: Path, b: int, n: int, cap: float) -> float | None:
         return None
     if proc.returncode:
         raise SystemExit(f"density --b {b} --n {n} failed in {tree}: {proc.stderr.strip()}")
-    return time.perf_counter() - start
+    return time.perf_counter() - start, proc.stdout
 
 
 def commit(tree: Path) -> str | None:
@@ -107,25 +111,35 @@ def main() -> None:
         print("| b | n | " + " | ".join(columns) + " |")
         print("|---|---|" + "---|" * len(columns))
     cells = []
+    differ = None
     frontier: dict[str, dict[int, int | None]] = {side: {} for side in trees}
     for b, ns in map(parse_cell_list, args.grid):
         capped = {side: False for side in trees}
         for n in ns:
             cell = {"b": b, "n": n}
+            outputs = {}
             order = list(trees) if len(cells) % 2 == 0 else list(trees)[::-1]
             for side in order:
                 frontier[side].setdefault(b, None)
                 if capped[side]:
                     cell[side] = "not run"
                     continue
-                wall = run_cell(trees[side], b, n, args.cap)
-                capped[side] = wall is None
+                run = run_cell(trees[side], b, n, args.cap)
+                capped[side] = run is None
+                if run is not None:
+                    wall, outputs[side] = run
                 print(f"{b}:{n} {side} {'capped' if capped[side] else f'{wall:.2f} s'}", file=sys.stderr, flush=True)
                 if capped[side]:
                     cell[side] = f"> {cap}" if table else "> cap"
                 else:
                     cell[side] = f"{wall:.2f} s" if table else round(wall, 2)
                     frontier[side][b] = n
+            if len(trees) > 1:
+                same = outputs["this"] == outputs["against"] if len(outputs) == 2 else None
+                if same is False and differ is None:
+                    differ = (b, n)
+                if not table:
+                    cell["same_output"] = same
             cells.append(cell)
             if table:
                 print(f"| {b} | {n} | " + " | ".join(cell[side] for side in trees) + " |", flush=True)
@@ -136,16 +150,18 @@ def main() -> None:
             for side, bests in frontier.items()
         )
         print(f"Frontier (largest n under {cap}): {line}")
-        return
-    print(json.dumps({
-        "trials": TRIALS,
-        "seed": SEED,
-        "cap_s": args.cap,
-        "trees": {side: {"path": str(tree), "commit": commit(tree)} for side, tree in trees.items()},
-        "machine": machine_facts(),
-        "cells": cells,
-        "frontier": {side: {str(b): best for b, best in bests.items()} for side, bests in frontier.items()},
-    }, indent=1))
+    else:
+        print(json.dumps({
+            "trials": TRIALS,
+            "seed": SEED,
+            "cap_s": args.cap,
+            "trees": {side: {"path": str(tree), "commit": commit(tree)} for side, tree in trees.items()},
+            "machine": machine_facts(),
+            "cells": cells,
+            "frontier": {side: {str(b): best for b, best in bests.items()} for side, bests in frontier.items()},
+        }, indent=1))
+    if differ is not None:
+        raise SystemExit("first cell whose output differs between the trees: b={} n={}".format(*differ))
 
 
 if __name__ == "__main__":

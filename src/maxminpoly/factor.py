@@ -81,6 +81,23 @@ pair has f <= Q and g_k <= cap_k, so its product is at most that OR: a
 degree the test cuts holds no exact leaf, and a search given only the
 degrees it keeps returns the same first witness.
 
+Below the root the search also has a breadth-first form for a block of
+inputs, the rows of a screened chunk (_descend).  Every test at a node
+reads only the node's ancestors: its quotient q and fixed terms, and the
+completion above the next position, built from q and the caps.  So the
+nodes the search visits below a degree form a tree fixed by h and that
+degree, and walking it level by level, every live node of every input
+at once, visits the same nodes; only which exact leaf comes first
+depends on the order, not whether there is one.  A lead that passes the
+cover bound, whose completion above deg g is empty, is an exact leaf:
+q*g never exceeds h, so covering h is equality.  At a choice g[k] = v the part
+qv << k is (q & (H >> k)) << k on planes 1..v and 0 above, so the
+values that pass the rest test at one position are an interval: from
+the highest plane that the rest still holds up to the first plane whose
+rest the part misses.  The descent marks an input reducible once one of
+its degrees reaches an exact leaf and irreducible once none has a node
+left; it builds no witness, which only the depth-first search returns.
+
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
 falls below h.
@@ -101,6 +118,13 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
+
+# the fewest kept rows of a chunk that the breadth-first descent pays
+# for: its fixed cost, a few dozen numpy calls per level, is about what
+# the search spends on 50-70 kept rows at b = 2, 3 and 4, and on 200-300
+# at b=10 n=6 to 8, whose trees are wide and shallow (a 2048-draw chunk
+# keeps 550-1100 rows at those sizes)
+DESCENT_ROWS = 256
 
 MONOMIAL = "monomial"
 IRREDUCIBLE = "irreducible"
@@ -409,6 +433,122 @@ def _root_screen(b: int, digits: np.ndarray) -> np.ndarray:
         np.logical_and.reduce((cover | planes) == cover, axis=-1, out=out)
         out &= 2 * dg <= (last - t)[:, None]
     return keep
+
+
+def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The breadth-first form of the search (see the module docstring) on
+    the degrees that the root screen kept, keep = _root_screen(b, digits),
+    for every row at once: (reducible, back), reducible[r] true when a
+    kept degree of row r has an exact leaf, and back the degrees of the
+    rows handed back undecided.  A kept row in neither is irreducible.
+    Rows hold at most WORD digits.
+
+    A node is a (row, degree) pair's quotient bound q, its fixed terms
+    and its choices: plane v-1 of a choice word holds bit k when g[k] = v
+    may come next.  The root's choices are g[0] in h_0..low_top, a node
+    that fixed position k has those above k, with cap_k >= v, and the lead
+    in lead(h)..lead_top; a lead that passes is an exact leaf.  The
+    completion above each position is one OR-accumulation over the
+    positions, and the rest test one interval of values per position.  A
+    level is expanded in slices whose temporaries hold at most BLOCK_ROWS
+    words.  A row goes back with the degrees that still have a node when
+    its frontier grows past BLOCK_ROWS // (kept rows) nodes, so a level
+    holds at most BLOCK_ROWS nodes; when fewer than DESCENT_ROWS rows are
+    kept, every row goes back and back is keep itself.
+    """
+    kept = np.flatnonzero(keep.any(axis=1))
+    reducible = np.zeros(len(keep), dtype=bool)
+    if len(kept) < DESCENT_ROWS:
+        return reducible, keep
+    back = np.zeros_like(keep)
+    planes = b - 1
+    one = np.uint64(1)
+    level = np.arange(1, b)
+    mask = np.where(level <= level[:, None], ~np.uint64(0), np.uint64(0))  # [v-1]: planes 1..v
+    # per kept row, in the frame of its stripped row, the words of H_s, of
+    # h_k >= h_0 and of h_k >= lead(h), one word at a time so that no
+    # temporary holds more than a byte per digit
+    block = digits[kept]
+    nonzero = block != 0
+    t = nonzero.argmax(axis=1)
+    last = block.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
+    at = np.arange(len(block))
+    low, lead = block[at, t], block[at, last]
+    weight = one << np.arange(block.shape[1], dtype=np.uint64)
+    words = np.empty((len(block), planes + 2), dtype=np.uint64)
+    for s in range(planes):
+        words[:, s] = (block > s) @ weight
+    words[:, -2] = (block >= low[:, None]) @ weight
+    words[:, -1] = (block >= lead[:, None]) @ weight
+    words >>= t.astype(np.uint64)[:, None]
+    # per pair, its row's planes, the caps F, the root's q and the choices
+    row, d = np.nonzero(keep[kept])
+    dg = (d + 1).astype(np.uint64)
+    df = (last - t)[row].astype(np.uint64) - dg
+    target = words[row, :planes]
+    hlow = target | words[row, -2:-1]
+    hlead = target | words[row, -1:]
+    caps = hlow & (hlead >> df[:, None]) & ((2 << dg) - one)[:, None]
+    choices = caps & ~(level < low[row, None]).astype(np.uint64) & ~((level < lead[row, None]) << dg[:, None])
+    # the positions 1..max deg g + 1, highest first
+    downward = np.arange(int(dg.max()) + 1, 0, -1, dtype=np.uint64)
+    frontier = max(1, BLOCK_ROWS // len(kept))
+
+    def times(q: np.ndarray, pos: np.ndarray, val: np.ndarray) -> np.ndarray:
+        # q times the fixed terms (pos[:, j], val[:, j] + 1)
+        prod = np.zeros_like(q)
+        for j in range(pos.shape[1]):
+            prod |= (q << pos[:, j, None]) & mask[val[:, j]]
+        return prod
+
+    pair = np.arange(len(row))
+    q = hlow & (hlead >> dg[:, None]) & ((2 << df) - one)[:, None]
+    free = choices & one
+    pos = np.empty((len(row), 0), dtype=np.uint64)
+    val = np.empty((len(row), 0), dtype=np.intp)
+    while len(pair):
+        cost = (np.bitwise_count(free).sum(axis=1, dtype=np.intp) + len(downward)) * planes
+        total = np.cumsum(cost)
+        parts = []
+        lo = 0
+        while lo < len(pair):
+            hi = max(lo + 1, int(np.searchsorted(total, total[lo] - cost[lo] + BLOCK_ROWS, side="right")))
+            p, qs, ps, vs, fr = pair[lo:hi], q[lo:hi], pos[lo:hi], val[lo:hi], free[lo:hi]
+            lo = hi
+            tg = target[p]
+            upper = times(qs, ps, vs)
+            # above[j] is the completion above position len(downward) - 1 - j
+            bits = (caps[p] >> downward[:, None, None]) & one
+            above = np.bitwise_or.accumulate((qs << downward[:, None, None]) * bits, axis=0)
+            # the rest test of the values at each position k with a choice:
+            # at g[k] = v, planes 1..v of the part are hit, the others 0
+            i, k = np.nonzero((np.bitwise_or.reduce(fr, axis=1)[:, None] >> (downward[-1::-1] - one)) & one)
+            shift = k.astype(np.uint64)[:, None]
+            tgi = tg[i]
+            hit = (qs[i] & (tgi >> shift)) << shift
+            completion = above[len(downward) - 1 - k, i]
+            rest = tgi & ~(upper[i] | completion)
+            inside = (rest & ~hit) == 0
+            floor = np.max((rest != 0) * level, axis=1)
+            ceil = np.where(inside.all(axis=1), planes, inside.argmin(axis=1))
+            j, s = np.nonzero(((fr[i] >> shift) & one).astype(bool) & (level >= floor[:, None]) & (level <= ceil[:, None]))
+            # the cover bound of the values that pass the rest test
+            i, shift, tgi, hit, completion = i[j], shift[j], tgi[j], hit[j], completion[j]
+            m = mask[s]
+            qv = qs[i] & (((tgi & m) | (np.take_along_axis(tgi, s[:, None], axis=1) & ~m)) >> shift)
+            ok = ((times(qv, ps[i], vs[i]) | (hit & m) | completion) & tgi == tgi).all(axis=1)
+            i = i[ok]
+            parts.append((p[i], qv[ok], np.hstack((ps[i], shift[ok])), np.column_stack((vs[i], s[ok]))))
+        pair, q, pos, val = (np.concatenate(x) for x in zip(*parts))
+        k = pos[:, -1]
+        reducible[kept[row[pair[k == dg[pair]]]]] = True
+        live = ~reducible[kept[row[pair]]]
+        wide = np.bincount(row[pair[live]], minlength=len(kept))[row[pair]] > frontier
+        back[kept[row[pair[live & wide]]], d[pair[live & wide]]] = True
+        live &= ~wide
+        pair, q, pos, val = pair[live], q[live], pos[live], val[live]
+        free = choices[pair] & ~((2 << pos[:, -1]) - one)[:, None]
+    return reducible, back
 
 
 def _classify_generic(

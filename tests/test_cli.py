@@ -137,6 +137,20 @@ def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, caps
     assert not (tmp_path / "ck.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["density", "--b", "2", "--n", "8", "--trials", "5", "--seed", "-1"],
+        ["density", "--b", "2", "--n", "8", "--trials", "5", "--seed", "-1", "--exhaustive"],
+        ["hoeffding", "--b", "2", "--n", "8", "--i", "1", "--eps", "0.1", "--trials", "5", "--seed", "-1"],
+    ),
+)
+def test_negative_seed_is_one_line_domain_error(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "ValueError: seed must be >= 0, got -1\n"
+
+
 def test_census_resume_honours_threads(tmp_path, capsys):
     argv = ["census", "--b", "2", "--n", "9", "--format", "csv", "--resume"]
     code1, one = run(capsys, *argv, str(tmp_path / "one.json"))

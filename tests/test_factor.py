@@ -344,6 +344,72 @@ def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n):
     assert cut_shifted and cut
 
 
+def _descent_agrees(b, digits):
+    """Checks the breadth-first descent's class of every row against the
+    search on the degrees the root screen kept, a row handed back by the
+    search on the degrees it still has open; returns how many kept rows
+    the descent decided and how many it handed back."""
+    keep = factor._root_screen(b, digits)
+    reducible, back = factor._descend(b, digits, keep)
+    assert not (back & ~keep).any() and not (back.any(axis=1) & reducible).any()
+    decided = handed = 0
+    for row, kept, red, open_ in zip(digits.tolist(), keep.tolist(), reducible.tolist(), back.tolist()):
+        if not any(kept):
+            assert not red, row
+            continue
+        h = core._trim(row)
+        want = factor._classify_generic(b, h, [dg for dg, k in enumerate(kept, 1) if k])
+        if any(open_):
+            handed += 1
+            got = factor._classify_generic(b, h, [dg for dg, k in enumerate(open_, 1) if k])
+        else:
+            decided += 1
+            got = (factor.REDUCIBLE if red else factor.IRREDUCIBLE, None)
+        assert got[0] == want[0], row
+    return decided, handed
+
+
+@pytest.mark.parametrize("b, max_n", ((2, 12), (3, 7), (4, 6), (10, 4)))
+def test_descent_matches_the_search_on_every_row(b, max_n, monkeypatch):
+    # every digit row of each length n, the descent run whatever the size
+    monkeypatch.setattr(factor, "DESCENT_ROWS", 1)
+    decided = 0
+    for n in range(1, max_n + 1):
+        decided += _descent_agrees(b, np.array(list(itertools.product(range(b), repeat=n))))[0]
+    assert decided
+
+
+@pytest.mark.parametrize("exact_degree", (False, True))
+@pytest.mark.parametrize("b, n", ((2, 28), (2, 64), (3, 20), (4, 16), (10, 8)))
+def test_descent_matches_the_search_on_seeded_chunks(b, n, exact_degree):
+    rng = np.random.default_rng(100 * b + n)
+    digits = rng.integers(0, b, size=(2048, n))
+    if exact_degree:
+        digits[:, -1] = rng.integers(1, b, size=2048)
+    decided, _ = _descent_agrees(b, digits)
+    assert decided >= factor.DESCENT_ROWS
+
+
+def test_descent_cut_offs_hand_rows_back(monkeypatch):
+    b, n = 3, 20
+    digits = np.random.default_rng(5).integers(0, b, size=(2048, n))
+    keep = factor._root_screen(b, digits)
+    rows = int(np.count_nonzero(keep.any(axis=1)))
+    # a chunk of DESCENT_ROWS kept rows is descended, one of fewer is not
+    monkeypatch.setattr(factor, "DESCENT_ROWS", rows)
+    reducible, back = factor._descend(b, digits, keep)
+    assert reducible.any() and not back.any()
+    monkeypatch.setattr(factor, "DESCENT_ROWS", rows + 1)
+    reducible, back = factor._descend(b, digits, keep)
+    assert not reducible.any() and (back == keep).all()
+    # with two nodes a row and small slices, rows whose frontier grows
+    # past two go back and the others are decided
+    monkeypatch.setattr(factor, "DESCENT_ROWS", 1)
+    monkeypatch.setattr(factor, "BLOCK_ROWS", 2 * rows)
+    decided, handed = _descent_agrees(b, digits)
+    assert decided > handed > 0
+
+
 @pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))
 def test_all_factorizations_match_unpruned_reference(b, max_deg, count):
     for h in _search_inputs(b, max_deg, count):

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -116,13 +117,30 @@ def test_frontier_alternates_two_trees_and_prints_json():
     assert report["cap_s"] == 60.0 and report["machine"]["nproc"] >= 1
     assert [(c["b"], c["n"]) for c in report["cells"]] == [(2, 4), (2, 6), (3, 3)]
     assert all(isinstance(c[side], float) for c in report["cells"] for side in ("this", "against"))
+    assert all(c["same_output"] is True for c in report["cells"])
     assert report["frontier"] == {"this": {"2": 6, "3": 3}, "against": {"2": 6, "3": 3}}
     # one stderr line per run, the tree that goes first alternating
     assert [line.split()[1] for line in log] == ["this", "against", "against", "this", "this", "against"]
     # each tree stops at its own cap
     report, _ = frontier("--cap", "0.001", "--grid", "2:4,6")
     assert report["cells"] == [
-        {"b": 2, "n": 4, "this": "> cap", "against": "> cap"},
-        {"b": 2, "n": 6, "this": "not run", "against": "not run"},
+        {"b": 2, "n": 4, "this": "> cap", "against": "> cap", "same_output": None},
+        {"b": 2, "n": 6, "this": "not run", "against": "not run", "same_output": None},
     ]
     assert report["frontier"] == {"this": {"2": None}, "against": {"2": None}}
+
+
+def test_frontier_names_the_first_cell_whose_output_differs(tmp_path):
+    # a second tree whose package reports another version prints a
+    # different density report on every cell
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = tmp_path / "src" / "maxminpoly" / "__init__.py"
+    init.write_text(init.read_text() + '__version__ += "-other"\n')
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "frontier.py"), "--against", str(tmp_path), "--json", "--grid", "2:4,6", "3:3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == "first cell whose output differs between the trees: b=2 n=4"
+    report = json.loads(proc.stdout)
+    assert [c["same_output"] for c in report["cells"]] == [False, False, False]

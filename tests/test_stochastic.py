@@ -120,9 +120,10 @@ def test_density_sampled_close_to_exhaustive():
 @pytest.mark.parametrize("space", census.SPACES)
 @pytest.mark.parametrize(
     "b, n",
-    # the root screen cuts most draws at (2, 40), (4, 16) and (10, 8);
+    # the root screen cuts most draws at (2, 40), (4, 16) and (10, 8), and
+    # the descent decides the others of their first chunks and of (3, 20);
     # 64 digits fill its word and 65 go past it
-    ((2, 16), (3, 10), (10, 6), (2, 40), (4, 16), (10, 8), (2, 64), (2, 65)),
+    ((2, 16), (3, 10), (10, 6), (2, 40), (3, 20), (4, 16), (10, 8), (2, 64), (2, 65)),
 )
 def test_density_counts_the_irreducible_draws(b, n, space, workers):
     # 2049 trials make two chunks, the second of one draw
