@@ -90,13 +90,14 @@ degree, and walking it level by level, every live node of every input
 at once, visits the same nodes; only which exact leaf comes first
 depends on the order, not whether there is one.  A lead that passes the
 cover bound, whose completion above deg g is empty, is an exact leaf:
-q*g never exceeds h, so covering h is equality.  At a choice g[k] = v the part
-qv << k is (q & (H >> k)) << k on planes 1..v and 0 above, so the
-values that pass the rest test at one position are an interval: from
-the highest plane that the rest still holds up to the first plane whose
-rest the part misses.  The descent marks an input reducible once one of
-its degrees reaches an exact leaf and irreducible once none has a node
-left; it builds no witness, which only the depth-first search returns.
+q*g never exceeds h, so covering h is equality.  At a choice g[k] = v
+the part (qv & planes 1..v) << k is (q_s & (H_s >> k)) << k on each
+plane s <= v and 0 above, so the values that pass the rest test at one
+position are an interval: from the highest plane that the rest still
+holds up to the first plane whose rest the part misses.  The descent
+marks an input reducible once one of its degrees reaches an exact leaf
+and irreducible once none has a node left; it builds no witness, which
+only the depth-first search returns.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
@@ -466,21 +467,19 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
     level = np.arange(1, b)
     mask = np.where(level <= level[:, None], ~np.uint64(0), np.uint64(0))  # [v-1]: planes 1..v
     # per kept row, in the frame of its stripped row, the words of H_s, of
-    # h_k >= h_0 and of h_k >= lead(h), one word at a time so that no
-    # temporary holds more than a byte per digit
+    # h_k >= h_0 and of h_k >= lead(h), each packed from a digit mask so
+    # that no temporary holds more than a byte per digit
     block = digits[kept]
     nonzero = block != 0
     t = nonzero.argmax(axis=1)
     last = block.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
     at = np.arange(len(block))
     low, lead = block[at, t], block[at, last]
-    weight = one << np.arange(block.shape[1], dtype=np.uint64)
-    words = np.empty((len(block), planes + 2), dtype=np.uint64)
-    for s in range(planes):
-        words[:, s] = (block > s) @ weight
-    words[:, -2] = (block >= low[:, None]) @ weight
-    words[:, -1] = (block >= lead[:, None]) @ weight
-    words >>= t.astype(np.uint64)[:, None]
+    words = np.zeros((len(block), planes + 2, 8), dtype=np.uint8)
+    for j, bits in enumerate((*(block > v for v in range(planes)), block >= low[:, None], block >= lead[:, None])):
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        words[:, j, : packed.shape[1]] = packed
+    words = words.view("<u8")[..., 0] >> t.astype(np.uint64)[:, None]
     # per pair, its row's planes, the caps F, the root's q and the choices
     row, d = np.nonzero(keep[kept])
     dg = (d + 1).astype(np.uint64)
@@ -489,7 +488,9 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
     hlow = target | words[row, -2:-1]
     hlead = target | words[row, -1:]
     caps = hlow & (hlead >> df[:, None]) & ((2 << dg) - one)[:, None]
-    choices = caps & ~(level < low[row, None]).astype(np.uint64) & ~((level < lead[row, None]) << dg[:, None])
+    below_low = (level < low[row, None]).astype(np.uint64)
+    below_lead = (level < lead[row, None]).astype(np.uint64) << dg[:, None]
+    choices = caps & ~below_low & ~below_lead
     # the positions 1..max deg g + 1, highest first
     downward = np.arange(int(dg.max()) + 1, 0, -1, dtype=np.uint64)
     frontier = max(1, BLOCK_ROWS // len(kept))
@@ -518,8 +519,9 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
             tg = target[p]
             upper = times(qs, ps, vs)
             # above[j] is the completion above position len(downward) - 1 - j
-            bits = (caps[p] >> downward[:, None, None]) & one
-            above = np.bitwise_or.accumulate((qs << downward[:, None, None]) * bits, axis=0)
+            above = (caps[p] >> downward[:, None, None]) & one
+            above *= qs << downward[:, None, None]
+            np.bitwise_or.accumulate(above, axis=0, out=above)
             # the rest test of the values at each position k with a choice:
             # at g[k] = v, planes 1..v of the part are hit, the others 0
             i, k = np.nonzero((np.bitwise_or.reduce(fr, axis=1)[:, None] >> (downward[-1::-1] - one)) & one)

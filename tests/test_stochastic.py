@@ -137,6 +137,20 @@ def test_density_counts_the_irreducible_draws(b, n, space, workers):
     assert rep.irreducible == want and rep.trials == 2049
 
 
+@pytest.mark.parametrize("b, n", ((2, 28), (3, 20), (10, 8)))
+def test_density_counts_a_screened_chunk_too_small_for_the_descent(b, n):
+    # 200 draws pass the screen's digit threshold but keep fewer than
+    # factor.DESCENT_ROWS rows, so the search decides every kept draw
+    assert 200 * n >= stochastic.SCREEN_DIGITS and 200 < factor.DESCENT_ROWS
+    config = cfg(b=b, n=n, trials=200, seed=7)
+    want = sum(
+        1
+        for poly in stochastic.sample_stream(config)
+        if not poly.is_zero() and factor.classify_irreducible(poly).kind == factor.IRREDUCIBLE
+    )
+    assert stochastic.density_experiment(config).irreducible == want
+
+
 def test_wilson_interval_basics():
     lo, hi = stochastic.wilson_interval(50, 100)
     assert lo < 0.5 < hi
