@@ -457,10 +457,11 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
     holds at most BLOCK_ROWS nodes; when fewer than DESCENT_ROWS rows are
     kept, every row goes back and back is keep itself.
     """
-    kept = np.flatnonzero(keep.any(axis=1))
+    kept = keep.any(axis=1)
     reducible = np.zeros(len(keep), dtype=bool)
-    if len(kept) < DESCENT_ROWS:
+    if np.count_nonzero(kept) < DESCENT_ROWS:
         return reducible, keep
+    kept = np.flatnonzero(kept)
     back = np.zeros_like(keep)
     planes = b - 1
     one = np.uint64(1)

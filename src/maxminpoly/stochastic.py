@@ -200,7 +200,7 @@ def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig
         handed = back.any(axis=1)
         # a kept draw is a nonzero non-monomial; of those, the draws that
         # are neither reducible nor handed back are irreducible
-        hits = int(np.count_nonzero(np.count_nonzero(digits, axis=1) > 1) - np.count_nonzero(reducible | handed))
+        hits = int(np.count_nonzero(np.count_nonzero(digits, axis=1) > 1) - np.count_nonzero(reducible) - np.count_nonzero(handed))
         rows = digits[handed]
         degrees = ([dg for dg, k in enumerate(row, 1) if k] for row in back[handed].tolist())
     for coeffs, degs in zip(map(_trim, rows.tolist()), degrees):
