@@ -169,6 +169,8 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_t2(args) -> None:
+    if args.nmax < 1:
+        raise ValueError(f"nmax must be >= 1, got {args.nmax}")
     rows = []
     for n in range(1, args.nmax + 1):
         bound = series.t2_measure_bound(args.b, n)

@@ -62,27 +62,27 @@ count stay the same; q has deg h - deg g + 1 terms per plane, so no shift
 leaves its plane.  On irreducible inputs, almost all of them at large
 degree, the caps and the bound remove most of the search.
 
-The root test has a plane-word form that decides it for a block of
-inputs at once (_root_screen).  At degree deg g, with m = min(s, h_0) and
-l = min(s, lead(h)), let
+The search also has a plane-word form that decides a block of inputs at
+once, the rows of a density chunk (_decide_rows).  It works on h
+stripped of its order, with each plane H_s packed into one word.  At
+degree deg g, with m = min(s, h_0) and l = min(s, lead(h)), let
 
-    F_s = H_m & (H_l >> deg f) & bits 0..deg g,
-    Q_s = H_m & (H_l >> deg g) & bits 0..deg f
+    F_s = H_m & (H_l >> deg f),    Q_s = H_m & (H_l >> deg g).
 
-(the masks only restate that H_l has no bit above deg h).  Q is the
-quotient bound before g[0] is chosen: g_0 >= h_0 and a lead >= lead(h)
-only shrink it.  Bit k of F_s holds exactly when cap_k >= s, since
-h_k >= m means h_k >= s or h_k >= h_0, and likewise at k + deg f; bits 0
-and deg g are the end caps, low_top and lead_top.  The degree passes only
-if OR over the k in F_s of (Q_s << k) covers H_s at every plane s.  That
-is the root's cover bound at its weakest g[0], so the search's own end
-cap skip and early exit cut no degree that the test keeps.  Every exact
-pair has f <= Q and g_k <= cap_k, so its product is at most that OR: a
-degree the test cuts holds no exact leaf, and a search given only the
-degrees it keeps returns the same first witness.
+H_l has no bit above deg h, so F_s has none above deg g and Q_s none
+above deg f.  Q is the quotient bound before g[0] is chosen: g_0 >= h_0
+and a lead >= lead(h) only shrink it.  Since h_k >= m exactly when
+h_k >= s or h_k >= h_0, H_m is H_s | H_h_0, and likewise H_l.  So bit k
+of F_s holds exactly when cap_k >= s, and bits 0 and deg g are the end
+caps, low_top and lead_top.  A degree passes the root test only if the
+OR over the k in F_s of (Q_s << k) covers H_s at every plane s.  That is
+the root's cover bound at its weakest g[0], so the search's own end cap
+skip and early exit cut no degree that the test keeps.  Every exact pair
+has f <= Q and g_k <= cap_k, so its product is at most that OR: a degree
+the test cuts holds no exact leaf, and a search given only the degrees
+it keeps returns the same first witness.
 
-Below the root the search also has a breadth-first form for a block of
-inputs, the rows of a screened chunk (_descend).  Every test at a node
+The kept degrees are then walked breadth first.  Every test at a node
 reads only the node's ancestors: its quotient q and fixed terms, and the
 completion above the next position, built from q and the caps.  So the
 nodes the search visits below a degree form a tree fixed by h and that
@@ -94,10 +94,10 @@ q*g never exceeds h, so covering h is equality.  At a choice g[k] = v
 the part (qv & planes 1..v) << k is (q_s & (H_s >> k)) << k on each
 plane s <= v and 0 above, so the values that pass the rest test at one
 position are an interval: from the highest plane that the rest still
-holds up to the first plane whose rest the part misses.  The descent
-marks an input reducible once one of its degrees reaches an exact leaf
-and irreducible once none has a node left; it builds no witness, which
-only the depth-first search returns.
+holds up to the first plane whose rest the part misses.  An input is
+reducible once one of its degrees reaches an exact leaf and irreducible
+once none has a node left.  The plane-word form builds no witness,
+which only the depth-first search returns.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
@@ -112,7 +112,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import core
-from .core import BLOCK_ROWS, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
+from .core import BLOCK_ROWS, WORD, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -379,122 +379,95 @@ def _divisors(
     return None
 
 
-def _root_screen(b: int, digits: np.ndarray) -> np.ndarray:
-    """The plane-word root test (see the module docstring) of every degree
-    of every digit row at once: a boolean array of shape (rows, (n-1)//2)
-    whose entry [r, dg-1] is true when the search of row r, stripped of its
-    order, tries degree dg and the test keeps it.  Zero rows and monomials
-    keep no degree.  Rows hold at most WORD digits.
+def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plane-word decision (see the module docstring) of every digit
+    row at once: (reducible, back).  reducible[r] is true when a degree of
+    row r has an exact leaf.  back has shape (rows, (n-1)//2), and
+    back[r, dg-1] is true when row r goes back undecided, for the
+    depth-first search, with degree dg open.  A nonzero non-monomial row
+    in neither is irreducible; zero rows and monomials are in neither.
+    Rows hold at most WORD digits.
 
-    The test runs in the frame of the unstripped row: with t its order and
-    e its degree, F_s = (H_m >> t) & (H_l >> (e - dg)) and Q_s << t =
-    H_m & (H_l >> dg), and the cover is held against H_s itself.  Since
-    h_k >= min(s, v) exactly when h_k >= s or h_k >= v, H_m and H_l are
-    H_s ORed with one word each.  The OR over the bits k of F_s is one
-    product per k, Q_s * (F_s & 2^k), which is Q_s << k or 0 and stays
-    inside the word.  Rows go in blocks whose (positions x rows x degrees
-    x planes) temporary holds at most BLOCK_ROWS words (or one row), so a
-    block costs a fixed number of numpy calls whatever its size.
+    Each row's planes are packed once from digit masks, as words of its
+    stripped row.  The root test runs on every (row, degree) pair in
+    blocks whose (positions x rows x degrees x planes) temporary holds at
+    most BLOCK_ROWS words (or one row); the OR over the bits k of F_s is
+    one product per k, Q_s * (F_s & 2^k), which is Q_s << k or 0.  When
+    fewer than DESCENT_ROWS rows keep a degree, each of them goes back
+    with the degrees it kept.  Otherwise the kept pairs descend together.
+    A node is a pair's quotient bound q, its fixed terms and its choices:
+    plane v-1 of a choice word holds bit k when g[k] = v may come next.
+    The root's choices are g[0] in h_0..low_top, a node that fixed
+    position k has those above k with cap_k >= v, and the lead in
+    lead(h)..lead_top.  The completion above each position is one
+    OR-accumulation over the positions, and the rest test one interval of
+    values per position.  A level is expanded in slices whose temporaries
+    hold at most BLOCK_ROWS words.  A row goes back with the degrees that
+    still have a node once its frontier grows past BLOCK_ROWS // (kept
+    rows) nodes, so a level holds at most BLOCK_ROWS nodes.
     """
     rows, n = digits.shape
     top = (n - 1) // 2
+    planes = b - 1
+    reducible = np.zeros(rows, dtype=bool)
     keep = np.zeros((rows, top), dtype=bool)
     if not top:
-        return keep
-    levels = np.append(np.arange(1, b), (0, 0))  # two more filled per row
-    weight = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    bit = weight[: top + 1, None]
-    dg = np.arange(1, top + 1)
-    step = max(1, BLOCK_ROWS // ((top + 1) * top * (b - 1)))
-    for lo in range(0, rows, step):
-        block = digits[lo : lo + step]
-        nonzero = block != 0
-        t = nonzero.argmax(axis=1)
-        last = np.maximum.reduce(nonzero * np.arange(n), axis=1)  # 0 on a zero row
-        at = np.arange(len(block))
-        # the words of H_s, of h_k >= h_0 and of h_k >= lead, per row
-        thresholds = np.empty((len(block), b + 1), dtype=block.dtype)
-        thresholds[:] = levels
-        thresholds[:, -2] = block[at, t]
-        thresholds[:, -1] = block[at, last]
-        words = (block[:, None, :] >= thresholds[..., None]) @ weight
-        planes = words[:, None, : b - 1]
-        low = planes | words[:, None, -2:-1]
-        lead = planes | words[:, None, -1:]
-        # one row per degree: F in caps, Q << t in quot; a degree above
-        # e shifts by 64 or more and reads 0
-        caps = lead >> (last[:, None] - dg).astype(np.uint64)[..., None]
-        caps &= low >> t.astype(np.uint64)[:, None, None]
-        quot = lead >> dg.astype(np.uint64)[:, None]
-        quot &= low
-        cover = caps.reshape(-1) & bit
-        cover *= quot.reshape(-1)
-        cover = np.bitwise_or.reduce(cover, axis=0).reshape(quot.shape)
-        out = keep[lo : lo + step]
-        np.logical_and.reduce((cover | planes) == cover, axis=-1, out=out)
-        out &= 2 * dg <= (last - t)[:, None]
-    return keep
-
-
-def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The breadth-first form of the search (see the module docstring) on
-    the degrees that the root screen kept, keep = _root_screen(b, digits),
-    for every row at once: (reducible, back), reducible[r] true when a
-    kept degree of row r has an exact leaf, and back the degrees of the
-    rows handed back undecided.  A kept row in neither is irreducible.
-    Rows hold at most WORD digits.
-
-    A node is a (row, degree) pair's quotient bound q, its fixed terms
-    and its choices: plane v-1 of a choice word holds bit k when g[k] = v
-    may come next.  The root's choices are g[0] in h_0..low_top, a node
-    that fixed position k has those above k, with cap_k >= v, and the lead
-    in lead(h)..lead_top; a lead that passes is an exact leaf.  The
-    completion above each position is one OR-accumulation over the
-    positions, and the rest test one interval of values per position.  A
-    level is expanded in slices whose temporaries hold at most BLOCK_ROWS
-    words.  A row goes back with the degrees that still have a node when
-    its frontier grows past BLOCK_ROWS // (kept rows) nodes, so a level
-    holds at most BLOCK_ROWS nodes; when fewer than DESCENT_ROWS rows are
-    kept, every row goes back and back is keep itself.
-    """
-    kept = keep.any(axis=1)
-    reducible = np.zeros(len(keep), dtype=bool)
-    if np.count_nonzero(kept) < DESCENT_ROWS:
         return reducible, keep
-    kept = np.flatnonzero(kept)
-    back = np.zeros_like(keep)
-    planes = b - 1
     one = np.uint64(1)
     level = np.arange(1, b)
-    mask = np.where(level <= level[:, None], ~np.uint64(0), np.uint64(0))  # [v-1]: planes 1..v
-    # per kept row, in the frame of its stripped row, the words of H_s, of
-    # h_k >= h_0 and of h_k >= lead(h), each packed from a digit mask so
-    # that no temporary holds more than a byte per digit
-    block = digits[kept]
-    nonzero = block != 0
+    # per row: its order t, its degree last (0 on a zero row), h_0,
+    # lead(h), the planes H_s of its stripped row and H_m = H_s | H_h_0
+    # and H_l = H_s | H_lead(h)
+    nonzero = digits != 0
     t = nonzero.argmax(axis=1)
-    last = block.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1)
-    at = np.arange(len(block))
-    low, lead = block[at, t], block[at, last]
-    words = np.zeros((len(block), planes + 2, 8), dtype=np.uint8)
-    for j, bits in enumerate((*(block > v for v in range(planes)), block >= low[:, None], block >= lead[:, None])):
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        words[:, j, : packed.shape[1]] = packed
-    words = words.view("<u8")[..., 0] >> t.astype(np.uint64)[:, None]
-    # per pair, its row's planes, the caps F, the root's q and the choices
-    row, d = np.nonzero(keep[kept])
+    last = np.maximum.reduce(nonzero * np.arange(n), axis=1)
+    bits = np.zeros((rows, planes, WORD), dtype=bool)
+    np.greater_equal(digits[:, None, :], level[:, None], out=bits[..., :n])
+    target = np.packbits(bits, axis=-1, bitorder="little").view("<u8")[..., 0] >> t.astype(np.uint64)[:, None]
+    at = np.arange(rows)
+    low, lead = digits[at, t], digits[at, last]
+    hlow = target | target[at, low - 1, None]
+    hlead = target | target[at, lead - 1, None]
+    e = last - t
+    # the root test; a chunk that can reach the descent keeps the caps F
+    # and the root's q of the pairs it keeps, in np.nonzero(keep) order
+    dg = np.arange(1, top + 1)
+    by_dg = dg.astype(np.uint64)[:, None]
+    bit = one << np.arange(top + 1, dtype=np.uint64)[:, None]
+    step = max(1, BLOCK_ROWS // ((top + 1) * top * planes))
+    caps, quot = [], []
+    for lo in range(0, rows, step):
+        hi = lo + step
+        # a degree above e shifts by 64 or more and reads 0
+        f = hlow[lo:hi, None] & (hlead[lo:hi, None] >> (e[lo:hi, None] - dg).astype(np.uint64)[..., None])
+        q = hlow[lo:hi, None] & (hlead[lo:hi, None] >> by_dg)
+        cover = f.reshape(-1) & bit
+        cover *= q.reshape(-1)
+        cover = np.bitwise_or.reduce(cover, axis=0).reshape(q.shape)
+        out = keep[lo:hi]
+        np.logical_and.reduce((cover | target[lo:hi, None]) == cover, axis=-1, out=out)
+        out &= 2 * dg <= e[lo:hi, None]
+        if rows >= DESCENT_ROWS:
+            caps.append(f[out])
+            quot.append(q[out])
+    kept = np.count_nonzero(keep.any(axis=1))
+    if kept < DESCENT_ROWS:
+        return reducible, keep
+    back = np.zeros_like(keep)
+    mask = np.where(level <= level[:, None], ~np.uint64(0), np.uint64(0))  # [v-1]: planes 1..v
+    # per kept pair: its row and degree, its row's planes, the caps, the
+    # root's q and the root's choices
+    row, d = np.nonzero(keep)
     dg = (d + 1).astype(np.uint64)
-    df = (last - t)[row].astype(np.uint64) - dg
-    target = words[row, :planes]
-    hlow = target | words[row, -2:-1]
-    hlead = target | words[row, -1:]
-    caps = hlow & (hlead >> df[:, None]) & ((2 << dg) - one)[:, None]
+    target = target[row]
+    caps = np.concatenate(caps)
+    q = np.concatenate(quot)
     below_low = (level < low[row, None]).astype(np.uint64)
     below_lead = (level < lead[row, None]).astype(np.uint64) << dg[:, None]
     choices = caps & ~below_low & ~below_lead
     # the positions 1..max deg g + 1, highest first
     downward = np.arange(int(dg.max()) + 1, 0, -1, dtype=np.uint64)
-    frontier = max(1, BLOCK_ROWS // len(kept))
+    frontier = max(1, BLOCK_ROWS // kept)
 
     def times(q: np.ndarray, pos: np.ndarray, val: np.ndarray) -> np.ndarray:
         # q times the fixed terms (pos[:, j], val[:, j] + 1)
@@ -504,7 +477,6 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
         return prod
 
     pair = np.arange(len(row))
-    q = hlow & (hlead >> dg[:, None]) & ((2 << df) - one)[:, None]
     free = choices & one
     pos = np.empty((len(row), 0), dtype=np.uint64)
     val = np.empty((len(row), 0), dtype=np.intp)
@@ -544,10 +516,10 @@ def _descend(b: int, digits: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, 
             parts.append((p[i], qv[ok], np.hstack((ps[i], shift[ok])), np.column_stack((vs[i], s[ok]))))
         pair, q, pos, val = (np.concatenate(x) for x in zip(*parts))
         k = pos[:, -1]
-        reducible[kept[row[pair[k == dg[pair]]]]] = True
-        live = ~reducible[kept[row[pair]]]
-        wide = np.bincount(row[pair[live]], minlength=len(kept))[row[pair]] > frontier
-        back[kept[row[pair[live & wide]]], d[pair[live & wide]]] = True
+        reducible[row[pair[k == dg[pair]]]] = True
+        live = ~reducible[row[pair]]
+        wide = np.bincount(row[pair[live]], minlength=rows)[row[pair]] > frontier
+        back[row[pair[live & wide]], d[pair[live & wide]]] = True
         live &= ~wide
         pair, q, pos, val = pair[live], q[live], pos[live], val[live]
         free = choices[pair] & ~((2 << pos[:, -1]) - one)[:, None]
@@ -558,7 +530,9 @@ def _classify_generic(
     b: int, h: Sequence[int], degrees: Optional[Iterable[int]] = None
 ) -> tuple[str, Optional[tuple[tuple[int, ...], int]]]:
     """Classify a raw canonical nonzero coefficient tuple over base b; the
-    one search entry point behind classification, census and density.
+    one search entry point behind classification and behind the density
+    draws that _decide_rows hands back.  The census calls no search: the
+    tests hold its product sieve against this one.
 
     The search runs on h / x^t, t = ord h: a divisor of positive order
     would have a lower-degree divisor of h / x^t in front of it, so the

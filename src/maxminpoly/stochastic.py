@@ -4,22 +4,21 @@ All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
 scheduled across the workers of `census.run_shards`.  A density chunk
-counts its irreducible draws (`_density_chunk`) in three steps, all on
-plane words.  First it screens them all at once with the plane-word
-form of the divisor search's root test (`factor._root_screen`), a fixed
-number of numpy steps per block of the chunk's digit matrix; a nonzero
-non-monomial draw with every divisor degree cut is irreducible.  Then
-the breadth-first form of the search (`factor._descend`) walks the
-search trees of the degrees the screen kept, one level of every draw at
-once, and decides each draw whose tree stays narrow.  Last, the
-depth-first search, the engine that the census's product sieve is
-tested against, decides the draws the descent hands back on the degrees
-still open.  Most large draws are irreducible and the screen cuts most
-of them, and the trees of the others are a few nodes deep, so few
-draws reach the search.  Draws of more than `core.WORD` digits, and
-chunks too small to pay for the screen, go to the search with every
-degree; chunks too small to pay for the descent go to it on the
-screen's degrees.  An exhaustive run takes the census's record, whose
+counts its irreducible draws (`_density_chunk`) with one plane-word
+decision of the whole chunk (`factor._decide_rows`).  It packs each
+draw's level planes into words once, cuts every divisor degree that the
+divisor search's root test rules out, in a fixed number of numpy steps
+per block of the chunk's digit matrix, and walks the search trees of the
+degrees left, one level of every draw at once; a nonzero non-monomial
+draw with no degree left is irreducible.  The depth-first search, the
+engine that the census's product sieve is tested against, decides the
+draws the decision hands back on the degrees still open: those whose
+tree grows wide, and every kept draw of a chunk too small to pay for
+the walk.  Most large draws are irreducible and the root test cuts most
+of them, and the trees of the others are a few nodes deep, so few draws
+reach the search.  Draws of more than `core.WORD` digits, and chunks too
+small to pay for the root test, go to the search with every degree.
+An exhaustive run takes the census's record, whose
 classes, candidates and primes are counted per core degree by
 `census._range_record` alone.
 Every report records the generator identity.
@@ -43,11 +42,12 @@ from .factor import REDUCIBLE
 
 GENERATOR_ID = "numpy.PCG64"
 CHUNK = 2048
-# the fewest digits (draws x n) of a chunk that the root screen pays for:
-# its fixed cost, a few dozen numpy calls, is about what the search spends
-# on the cut draws of 40 draws at b=10 n=8, 20 at b=4 n=16, 10 at b=3 n=20
-# and 6 at b=2 n=40; the descent after it has its own threshold,
-# factor.DESCENT_ROWS kept draws, which only larger chunks reach
+# the fewest digits (draws x n) of a chunk that the plane-word decision
+# pays for: the fixed cost of its root test, a few dozen numpy calls, is
+# about what the search spends on the cut draws of 40 draws at b=10 n=8,
+# 20 at b=4 n=16, 10 at b=3 n=20 and 6 at b=2 n=40; its walk below the
+# root has its own threshold, factor.DESCENT_ROWS kept draws, which only
+# larger chunks reach
 SCREEN_DIGITS = 320
 
 
@@ -187,16 +187,16 @@ def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig
     """The number of irreducible draws of one seed-derived trial chunk
     (order-free): nonzero non-monomials that the divisor search finds no
     factorization of.  A chunk of at least SCREEN_DIGITS digits, in draws
-    of at most WORD digits, is screened first (factor._root_screen): a draw
-    with every degree cut is irreducible.  The breadth-first descent
-    (factor._descend) then decides the kept draws, and the search runs on
-    those it hands back with only the degrees they still have open."""
+    of at most WORD digits, goes through the plane-word decision
+    (factor._decide_rows), and the search runs only on the draws it hands
+    back, with the degrees they still have open.  Other chunks go to the
+    search with every degree."""
     b, n = config.b, config.n
     digits = _draw_digits(rng, size, config)
     hits = 0
     rows, degrees = digits, itertools.repeat(None)
     if n <= WORD and size * n >= SCREEN_DIGITS:
-        reducible, back = factor._descend(b, digits, factor._root_screen(b, digits))
+        reducible, back = factor._decide_rows(b, digits)
         handed = back.any(axis=1)
         # a kept draw is a nonzero non-monomial; of those, the draws that
         # are neither reducible nor handed back are irreducible

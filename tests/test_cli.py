@@ -126,6 +126,8 @@ def test_census_resume(tmp_path, capsys):
         ["bounds", "--b", "2", "--n", "4", "--d", "nan", "--v", "1"],
         ["hoeffding", "--b", "2", "--n", "4", "--i", "1", "--eps", "nan", "--trials", "5", "--seed", "1"],
         ["hoeffding", "--b", "2", "--n", "4", "--i", "1", "--eps", "inf", "--trials", "5", "--seed", "1"],
+        ["t2", "--b", "2", "--nmax", "0"],
+        ["t2", "--b", "2", "--nmax", "-3"],
     ),
 )
 def test_bad_argument_is_one_line_domain_error(argv, tmp_path, monkeypatch, capsys):

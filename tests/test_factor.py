@@ -315,15 +315,25 @@ def test_root_early_exit_matches_unpruned_reference(h):
     assert got == oracle_factorizations(b, coeffs)
 
 
+def _root_keep(b, digits, monkeypatch):
+    """The degrees that the root test of _decide_rows keeps: its `back`
+    when the chunk has too few rows to descend."""
+    with monkeypatch.context() as patch:
+        patch.setattr(factor, "DESCENT_ROWS", len(digits) + 1)
+        reducible, keep = factor._decide_rows(b, digits)
+    assert not reducible.any()
+    return keep
+
+
 @pytest.mark.parametrize("b, max_n", ((2, 12), (3, 7), (4, 6), (10, 4)))
-def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n):
-    # every digit row of each length n: the screen keeps only degrees the
-    # search tries, a degree it cuts has no exact divisor, and the search
-    # on the kept degrees finds the same class and first witness
+def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n, monkeypatch):
+    # every digit row of each length n: the root test keeps only degrees
+    # the search tries, a degree it cuts has no exact divisor, and the
+    # search on the kept degrees finds the same class and first witness
     cut = cut_shifted = 0
     for n in range(1, max_n + 1):
         rows = np.array(list(itertools.product(range(b), repeat=n)))
-        keep = factor._root_screen(b, rows)
+        keep = _root_keep(b, rows, monkeypatch)
         assert keep.shape == (len(rows), (n - 1) // 2)
         for row, kept in zip(rows.tolist(), keep.tolist()):
             nonzero = [k for k, v in enumerate(row) if v]
@@ -344,13 +354,13 @@ def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n):
     assert cut_shifted and cut
 
 
-def _descent_agrees(b, digits):
-    """Checks the breadth-first descent's class of every row against the
-    search on the degrees the root screen kept, a row handed back by the
+def _descent_agrees(b, digits, monkeypatch):
+    """Checks the class that _decide_rows gives every row against the
+    search on the degrees the root test kept, a row handed back by the
     search on the degrees it still has open; returns how many kept rows
     the descent decided and how many it handed back."""
-    keep = factor._root_screen(b, digits)
-    reducible, back = factor._descend(b, digits, keep)
+    keep = _root_keep(b, digits, monkeypatch)
+    reducible, back = factor._decide_rows(b, digits)
     assert not (back & ~keep).any() and not (back.any(axis=1) & reducible).any()
     decided = handed = 0
     for row, kept, red, open_ in zip(digits.tolist(), keep.tolist(), reducible.tolist(), back.tolist()):
@@ -375,38 +385,39 @@ def test_descent_matches_the_search_on_every_row(b, max_n, monkeypatch):
     monkeypatch.setattr(factor, "DESCENT_ROWS", 1)
     decided = 0
     for n in range(1, max_n + 1):
-        decided += _descent_agrees(b, np.array(list(itertools.product(range(b), repeat=n))))[0]
+        decided += _descent_agrees(b, np.array(list(itertools.product(range(b), repeat=n))), monkeypatch)[0]
     assert decided
 
 
 @pytest.mark.parametrize("exact_degree", (False, True))
 @pytest.mark.parametrize("b, n", ((2, 28), (2, 64), (3, 20), (4, 16), (10, 8)))
-def test_descent_matches_the_search_on_seeded_chunks(b, n, exact_degree):
+def test_descent_matches_the_search_on_seeded_chunks(b, n, exact_degree, monkeypatch):
     rng = np.random.default_rng(100 * b + n)
     digits = rng.integers(0, b, size=(2048, n))
     if exact_degree:
         digits[:, -1] = rng.integers(1, b, size=2048)
-    decided, _ = _descent_agrees(b, digits)
+    decided, _ = _descent_agrees(b, digits, monkeypatch)
     assert decided >= factor.DESCENT_ROWS
 
 
 def test_descent_cut_offs_hand_rows_back(monkeypatch):
     b, n = 3, 20
     digits = np.random.default_rng(5).integers(0, b, size=(2048, n))
-    keep = factor._root_screen(b, digits)
+    keep = _root_keep(b, digits, monkeypatch)
     rows = int(np.count_nonzero(keep.any(axis=1)))
-    # a chunk of DESCENT_ROWS kept rows is descended, one of fewer is not
+    # a chunk of DESCENT_ROWS kept rows is descended, one of fewer hands
+    # back every kept row with the degrees the root test kept
     monkeypatch.setattr(factor, "DESCENT_ROWS", rows)
-    reducible, back = factor._descend(b, digits, keep)
+    reducible, back = factor._decide_rows(b, digits)
     assert reducible.any() and not back.any()
     monkeypatch.setattr(factor, "DESCENT_ROWS", rows + 1)
-    reducible, back = factor._descend(b, digits, keep)
+    reducible, back = factor._decide_rows(b, digits)
     assert not reducible.any() and (back == keep).all()
     # with two nodes a row and small slices, rows whose frontier grows
     # past two go back and the others are decided
     monkeypatch.setattr(factor, "DESCENT_ROWS", 1)
     monkeypatch.setattr(factor, "BLOCK_ROWS", 2 * rows)
-    decided, handed = _descent_agrees(b, digits)
+    decided, handed = _descent_agrees(b, digits, monkeypatch)
     assert decided > handed > 0
 
 

@@ -120,9 +120,9 @@ def test_density_sampled_close_to_exhaustive():
 @pytest.mark.parametrize("space", census.SPACES)
 @pytest.mark.parametrize(
     "b, n",
-    # the root screen cuts most draws at (2, 40), (4, 16) and (10, 8), and
-    # the descent decides the others of their first chunks and of (3, 20);
-    # 64 digits fill its word and 65 go past it
+    # the root test of factor._decide_rows cuts most draws at (2, 40),
+    # (4, 16) and (10, 8), and its descent decides the others of their
+    # first chunks and of (3, 20); 64 digits fill its word and 65 go past it
     ((2, 16), (3, 10), (10, 6), (2, 40), (3, 20), (4, 16), (10, 8), (2, 64), (2, 65)),
 )
 def test_density_counts_the_irreducible_draws(b, n, space, workers):
@@ -139,8 +139,9 @@ def test_density_counts_the_irreducible_draws(b, n, space, workers):
 
 @pytest.mark.parametrize("b, n", ((2, 28), (3, 20), (10, 8)))
 def test_density_counts_a_screened_chunk_too_small_for_the_descent(b, n):
-    # 200 draws pass the screen's digit threshold but keep fewer than
-    # factor.DESCENT_ROWS rows, so the search decides every kept draw
+    # 200 draws reach factor._decide_rows but are fewer than
+    # factor.DESCENT_ROWS, so it hands back every draw its root test keeps
+    # and the search decides them
     assert 200 * n >= stochastic.SCREEN_DIGITS and 200 < factor.DESCENT_ROWS
     config = cfg(b=b, n=n, trials=200, seed=7)
     want = sum(
