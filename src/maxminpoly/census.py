@@ -173,20 +173,23 @@ def iter_vectors(b: int, n: int, space: str, start: int = 0, end: int | None = N
 
 def enumerate_polys(b: int, n: int, space: str = ALL_VECTORS) -> Iterator[MaxMinPoly]:
     """Deterministic stream of polynomials for the chosen convention."""
-    check_base(b)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_space(b, n, space)
     for vec in iter_vectors(b, n, space):
         yield MaxMinPoly(b, _trim(vec))
 
 
-def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
-    """Reject a bad base, n < 1, an unknown space or b^n over the budget."""
+def check_space(b: int, n: int, space: str) -> None:
+    """Reject a bad base, n < 1 or an unknown space."""
     check_base(b)
     if n < 1:
         raise ValueError("n must be >= 1")
     if space not in SPACES:
         raise ValueError(f"unknown enumeration space {space!r}")
+
+
+def check_enumeration(b: int, n: int, space: str, force: bool = False) -> None:
+    """check_space, and reject b^n over the budget."""
+    check_space(b, n, space)
     _check_budget(b**n, f"{b}^{n} vectors", force, " vectors")
 
 
@@ -379,19 +382,20 @@ def census_with_checkpoint(
     """Count the shards of the plan, the n valuation ranges of
     `_valuation_range`, persisting partials to JSON.
 
-    An interrupted run resumes from the shards already on disk, at any
-    worker count; completed shards are merged by the associative record
-    addition.  A shard's partial counts the vectors of its range.  The
-    sieve is not saved: a resume with pending shards runs it again, on up
-    to `workers` processes, and counts only the missing ranges.  The
+    A run resumes from the shards already on disk, at any worker count;
+    completed shards are merged by the associative record addition.  A
+    shard's partial counts the vectors of its range.  The sieve is not
+    saved: a resume with pending shards runs it again, on up to `workers`
+    processes, and counts only the missing ranges.  The
     header records the census, the tally marker "valuations" and the
     package version, and a checkpoint whose header does not match (one
     written by an earlier tally, the index ranges of "vectors" or the
     orbits, among them), whose shards repeat, are not in the plan or are
     malformed, or whose counts do not add up to the space, is rejected
-    rather than merged.  Each shard is written as it is counted, to a
-    temporary file that then replaces the checkpoint, so a crash or an
-    interrupt leaves the last complete checkpoint intact.
+    rather than merged, and left as it is.  Once the pending shards are
+    counted the checkpoint is written once, to a temporary file that then
+    replaces it, so a crash or an interrupt leaves the previous checkpoint
+    intact.
     """
     check_enumeration(b, n, space, force)
     path = Path(path)
@@ -410,16 +414,17 @@ def census_with_checkpoint(
         raise ValueError(f"checkpoint {path} holds repeated shards or shards outside the plan")
     pending = [(t, span) for t, span in enumerate(plan) if span not in shards]
     reducible = _reducible_counts(b, n, workers) if pending else None
-    tmp = Path(f"{path}.tmp")
     for t, (start, end) in pending:
         partial = shards[start, end] = _range_record(b, n, space, t, reducible)
         entries.append({"range_start": start, "range_end": end, "partial": asdict(partial)})
-        tmp.write_text(json.dumps({**header, "shards": entries}))
-        os.replace(tmp, path)
     rec = functools.reduce(merge_records, shards.values())
     nonzero = space_size(b, n, space) - (space == ALL_VECTORS)
     if rec.total != nonzero:
         raise ValueError(f"checkpoint {path} counts {rec.total} nonzero vectors where the space has {nonzero}")
+    if pending:
+        tmp = Path(f"{path}.tmp")
+        tmp.write_text(json.dumps({**header, "shards": entries}))
+        os.replace(tmp, path)
     return rec
 
 

@@ -3,8 +3,9 @@
 Every subcommand prints a machine-readable report (JSON by default) that
 embeds the package version, the parsed flags and, for randomized
 commands, the seed and generator identity.  Randomized subcommands
-require an explicit --seed.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+require an explicit --seed.  Exit codes: 0 success, 1 domain error (an
+input too large for memory or for the search's recursion depth among
+them), 2 usage error.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         args.func(args)
-    except (MaxMinError, ValueError, OSError) as exc:
+    except (MaxMinError, ValueError, OSError, MemoryError, RecursionError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

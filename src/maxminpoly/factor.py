@@ -63,9 +63,10 @@ leaves its plane.  On irreducible inputs, almost all of them at large
 degree, the caps and the bound remove most of the search.
 
 The search also has a plane-word form that decides a block of inputs at
-once, the rows of a density chunk (_decide_rows).  It works on h
-stripped of its order, with each plane H_s packed into one word.  At
-degree deg g, with m = min(s, h_0) and l = min(s, lead(h)), let
+once, the rows of a density chunk (_decide_rows, which the density
+count _count_irreducible calls).  It works on h stripped of its order,
+with each plane H_s packed into one word.  At degree deg g, with
+m = min(s, h_0) and l = min(s, lead(h)), let
 
     F_s = H_m & (H_l >> deg f),    Q_s = H_m & (H_l >> deg g).
 
@@ -106,13 +107,14 @@ falls below h.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import core
-from .core import BLOCK_ROWS, WORD, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _unpack
+from .core import BLOCK_ROWS, WORD, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _trim, _unpack
 from .errors import (
     BaseMismatch,
     DegreeTooLarge,
@@ -120,11 +122,16 @@ from .errors import (
     ZeroPolynomial,
 )
 
-# the fewest kept rows of a chunk that the breadth-first descent pays
-# for: its fixed cost, a few dozen numpy calls per level, is about what
-# the search spends on 50-70 kept rows at b = 2, 3 and 4, and on 200-300
-# at b=10 n=6 to 8, whose trees are wide and shallow (a 2048-draw chunk
-# keeps 550-1100 rows at those sizes)
+# the plane-word decision's two fixed costs, each paid only where the
+# depth-first search would spend more: its root test (a few dozen numpy
+# calls) needs a block of at least SCREEN_DIGITS digits (rows x n), about
+# what the search spends on the cut rows of 40 rows at b=10 n=8, 20 at
+# b=4 n=16, 10 at b=3 n=20 and 6 at b=2 n=40; its descent (a few dozen
+# numpy calls per level) needs at least DESCENT_ROWS kept rows, about
+# what the search spends on 50-70 kept rows at b = 2, 3 and 4 and on
+# 200-300 at b=10 n=6 to 8, whose trees are wide and shallow (a 2048-row
+# block keeps 550-1100 rows at those sizes)
+SCREEN_DIGITS = 320
 DESCENT_ROWS = 256
 
 MONOMIAL = "monomial"
@@ -429,13 +436,11 @@ def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hlow = target | target[at, low - 1, None]
     hlead = target | target[at, lead - 1, None]
     e = last - t
-    # the root test; a chunk that can reach the descent keeps the caps F
-    # and the root's q of the pairs it keeps, in np.nonzero(keep) order
+    # the root test
     dg = np.arange(1, top + 1)
     by_dg = dg.astype(np.uint64)[:, None]
     bit = one << np.arange(top + 1, dtype=np.uint64)[:, None]
     step = max(1, BLOCK_ROWS // ((top + 1) * top * planes))
-    caps, quot = [], []
     for lo in range(0, rows, step):
         hi = lo + step
         # a degree above e shifts by 64 or more and reads 0
@@ -447,9 +452,6 @@ def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = keep[lo:hi]
         np.logical_and.reduce((cover | target[lo:hi, None]) == cover, axis=-1, out=out)
         out &= 2 * dg <= e[lo:hi, None]
-        if rows >= DESCENT_ROWS:
-            caps.append(f[out])
-            quot.append(q[out])
     kept = np.count_nonzero(keep.any(axis=1))
     if kept < DESCENT_ROWS:
         return reducible, keep
@@ -460,8 +462,8 @@ def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row, d = np.nonzero(keep)
     dg = (d + 1).astype(np.uint64)
     target = target[row]
-    caps = np.concatenate(caps)
-    q = np.concatenate(quot)
+    caps = hlow[row] & (hlead[row] >> (e[row].astype(np.uint64) - dg)[:, None])
+    q = hlow[row] & (hlead[row] >> dg[:, None])
     below_low = (level < low[row, None]).astype(np.uint64)
     below_lead = (level < lead[row, None]).astype(np.uint64) << dg[:, None]
     choices = caps & ~below_low & ~below_lead
@@ -526,13 +528,40 @@ def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reducible, back
 
 
+def _count_irreducible(b: int, digits: np.ndarray) -> int:
+    """The number of irreducible rows of a block of digit rows, one row
+    per polynomial (zero rows and monomials are not irreducible).
+
+    A block of at least SCREEN_DIGITS digits, in rows of at most WORD
+    digits, goes through the plane-word decision (_decide_rows): a
+    nonzero non-monomial row that it neither finds reducible nor hands
+    back is irreducible, and the depth-first search decides the rows it
+    hands back on the degrees they still have open.  The search decides
+    every row of any other block on every degree."""
+    rows, n = digits.shape
+    hits = 0
+    degrees = itertools.repeat(None)
+    if n <= WORD and rows * n >= SCREEN_DIGITS:
+        reducible, back = _decide_rows(b, digits)
+        handed = back.any(axis=1)
+        nonmonomial = np.count_nonzero(np.count_nonzero(digits, axis=1) > 1)
+        hits = int(nonmonomial - np.count_nonzero(reducible) - np.count_nonzero(handed))
+        digits = digits[handed]
+        degrees = ([dg for dg, k in enumerate(row, 1) if k] for row in back[handed].tolist())
+    for h, degs in zip(map(_trim, digits.tolist()), degrees):
+        if len(h) - h.count(0) > 1:
+            hits += _classify_generic(b, h, degs)[0] == IRREDUCIBLE
+    return hits
+
+
 def _classify_generic(
     b: int, h: Sequence[int], degrees: Optional[Iterable[int]] = None
 ) -> tuple[str, Optional[tuple[tuple[int, ...], int]]]:
     """Classify a raw canonical nonzero coefficient tuple over base b; the
     one search entry point behind classification and behind the density
-    draws that _decide_rows hands back.  The census calls no search: the
-    tests hold its product sieve against this one.
+    count, _count_irreducible, which hands it the rows that the
+    plane-word decision does not decide.  The census calls no search:
+    the tests hold its product sieve against this one.
 
     The search runs on h / x^t, t = ord h: a divisor of positive order
     would have a lower-degree divisor of h / x^t in front of it, so the

@@ -4,29 +4,15 @@ All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
 scheduled across the workers of `census.run_shards`.  A density chunk
-counts its irreducible draws (`_density_chunk`) with one plane-word
-decision of the whole chunk (`factor._decide_rows`).  It packs each
-draw's level planes into words once, cuts every divisor degree that the
-divisor search's root test rules out, in a fixed number of numpy steps
-per block of the chunk's digit matrix, and walks the search trees of the
-degrees left, one level of every draw at once; a nonzero non-monomial
-draw with no degree left is irreducible.  The depth-first search, the
-engine that the census's product sieve is tested against, decides the
-draws the decision hands back on the degrees still open: those whose
-tree grows wide, and every kept draw of a chunk too small to pay for
-the walk.  Most large draws are irreducible and the root test cuts most
-of them, and the trees of the others are a few nodes deep, so few draws
-reach the search.  Draws of more than `core.WORD` digits, and chunks too
-small to pay for the root test, go to the search with every degree.
-An exhaustive run takes the census's record, whose
-classes, candidates and primes are counted per core degree by
-`census._range_record` alone.
-Every report records the generator identity.
+counts its irreducible draws with `factor._count_irreducible`, which
+decides a block of digit rows at once.  An exhaustive run takes the
+census's record, whose classes, candidates and primes are counted per
+core degree by `census._range_record` alone.  Every report records the
+generator identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,20 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from . import census as census_mod, factor
-from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE, SPACES
-from .core import WORD, MaxMinPoly, _trim, check_base
+from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE
+from .core import MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
-from .factor import REDUCIBLE
 
 GENERATOR_ID = "numpy.PCG64"
 CHUNK = 2048
-# the fewest digits (draws x n) of a chunk that the plane-word decision
-# pays for: the fixed cost of its root test, a few dozen numpy calls, is
-# about what the search spends on the cut draws of 40 draws at b=10 n=8,
-# 20 at b=4 n=16, 10 at b=3 n=20 and 6 at b=2 n=40; its walk below the
-# root has its own threshold, factor.DESCENT_ROWS kept draws, which only
-# larger chunks reach
-SCREEN_DIGITS = 320
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,15 +38,11 @@ class ExperimentConfig:
     space: str = ALL_VECTORS
 
     def __post_init__(self) -> None:
-        check_base(self.b)
+        census_mod.check_space(self.b, self.n, self.space)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.space not in SPACES:
-            raise ValueError(f"unknown enumeration space {self.space!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,28 +159,8 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 def _density_chunk(rng: np.random.Generator, size: int, config: ExperimentConfig) -> int:
     """The number of irreducible draws of one seed-derived trial chunk
-    (order-free): nonzero non-monomials that the divisor search finds no
-    factorization of.  A chunk of at least SCREEN_DIGITS digits, in draws
-    of at most WORD digits, goes through the plane-word decision
-    (factor._decide_rows), and the search runs only on the draws it hands
-    back, with the degrees they still have open.  Other chunks go to the
-    search with every degree."""
-    b, n = config.b, config.n
-    digits = _draw_digits(rng, size, config)
-    hits = 0
-    rows, degrees = digits, itertools.repeat(None)
-    if n <= WORD and size * n >= SCREEN_DIGITS:
-        reducible, back = factor._decide_rows(b, digits)
-        handed = back.any(axis=1)
-        # a kept draw is a nonzero non-monomial; of those, the draws that
-        # are neither reducible nor handed back are irreducible
-        hits = int(np.count_nonzero(np.count_nonzero(digits, axis=1) > 1) - np.count_nonzero(reducible) - np.count_nonzero(handed))
-        rows = digits[handed]
-        degrees = ([dg for dg, k in enumerate(row, 1) if k] for row in back[handed].tolist())
-    for coeffs, degs in zip(map(_trim, rows.tolist()), degrees):
-        if len(coeffs) - coeffs.count(0) > 1:
-            hits += factor._classify_generic(b, coeffs, degs)[0] != REDUCIBLE
-    return hits
+    (order-free)."""
+    return factor._count_irreducible(config.b, _draw_digits(rng, size, config))
 
 
 def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, workers: int = 1) -> DensityReport:

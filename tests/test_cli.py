@@ -153,6 +153,34 @@ def test_negative_seed_is_one_line_domain_error(argv, capsys):
     assert captured.out == "" and captured.err == "ValueError: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        # 2 x 10^15 digits: an allocation larger than the address space,
+        # which fails at once
+        ["hoeffding", "--b", "2", "--n", "1000000000000000", "--i", "1", "--eps", "0.1", "--trials", "2", "--seed", "1"],
+        ["density", "--b", "2", "--n", "1000000000000000", "--trials", "2", "--seed", "1"],
+    ),
+)
+def test_out_of_memory_is_one_line_error(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("MemoryError: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_recursion_limit_is_one_line_error(monkeypatch, capsys):
+    # the search recurses about once per nonzero coefficient it fixes, so
+    # a deep enough input exhausts the interpreter's stack
+    def deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(factor, "_divisors", deep)
+    assert cli.main(["classify", "2:1,1,1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "RecursionError: maximum recursion depth exceeded\n"
+
+
 def test_census_resume_honours_threads(tmp_path, capsys):
     argv = ["census", "--b", "2", "--n", "9", "--format", "csv", "--resume"]
     code1, one = run(capsys, *argv, str(tmp_path / "one.json"))

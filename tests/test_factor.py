@@ -421,6 +421,66 @@ def test_descent_cut_offs_hand_rows_back(monkeypatch):
     assert decided > handed > 0
 
 
+def _block(b, n, rows, seed):
+    """Seeded digit rows with a zero row and two monomials in front."""
+    digits = np.random.default_rng(seed).integers(0, b, size=(rows, n))
+    digits[:3] = 0
+    digits[1, n // 2] = b - 1
+    digits[2, 0] = 1
+    return digits
+
+
+def _count_agrees(b, digits, monkeypatch):
+    """_count_irreducible of the rows against classify_irreducible of each
+    nonzero row; returns what each _decide_rows call returned."""
+    decide, decisions = factor._decide_rows, []
+
+    def recorded(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    want = sum(
+        factor.classify_irreducible(core.MaxMinPoly(b, core._trim(row))).kind == factor.IRREDUCIBLE
+        for row in digits.tolist()
+        if any(row)
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(factor, "_decide_rows", recorded)
+        assert factor._count_irreducible(b, digits) == want
+    return decisions
+
+
+@pytest.mark.parametrize(
+    "b, n, rows",
+    # one row under SCREEN_DIGITS digits and at it; 64 digits fill a word
+    # and 65 go past it
+    ((10, 8, 39), (10, 8, 40), (2, 40, 7), (2, 40, 8), (2, 64, 24), (2, 65, 24), (3, 64, 8)),
+)
+def test_count_irreducible_matches_classification(b, n, rows, monkeypatch):
+    screened = n <= core.WORD and rows * n >= factor.SCREEN_DIGITS
+    assert len(_count_agrees(b, _block(b, n, rows, 10 * b + n), monkeypatch)) == screened
+
+
+def test_count_irreducible_at_the_descent_cut_offs(monkeypatch):
+    b, n = 3, 16
+    digits = _block(b, n, 400, 7)
+    keep = _root_keep(b, digits, monkeypatch)
+    rows = int(np.count_nonzero(keep.any(axis=1)))
+    # DESCENT_ROWS kept rows descend, fewer go back with their kept degrees
+    monkeypatch.setattr(factor, "DESCENT_ROWS", rows)
+    [(reducible, back)] = _count_agrees(b, digits, monkeypatch)
+    assert reducible.any() and not back.any()
+    monkeypatch.setattr(factor, "DESCENT_ROWS", rows + 1)
+    [(reducible, back)] = _count_agrees(b, digits, monkeypatch)
+    assert not reducible.any() and (back == keep).all()
+    # with two nodes a row, rows whose frontier grows past two go back
+    # with the degrees they still have open
+    monkeypatch.setattr(factor, "DESCENT_ROWS", 1)
+    monkeypatch.setattr(factor, "BLOCK_ROWS", 2 * rows)
+    [(reducible, back)] = _count_agrees(b, digits, monkeypatch)
+    assert reducible.any() and back.any()
+
+
 @pytest.mark.parametrize("b, max_deg, count", ((2, 12, 60), (3, 8, 80), (4, 7, 60), (10, 4, 60)))
 def test_all_factorizations_match_unpruned_reference(b, max_deg, count):
     for h in _search_inputs(b, max_deg, count):

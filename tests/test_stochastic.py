@@ -142,7 +142,7 @@ def test_density_counts_a_screened_chunk_too_small_for_the_descent(b, n):
     # 200 draws reach factor._decide_rows but are fewer than
     # factor.DESCENT_ROWS, so it hands back every draw its root test keeps
     # and the search decides them
-    assert 200 * n >= stochastic.SCREEN_DIGITS and 200 < factor.DESCENT_ROWS
+    assert 200 * n >= factor.SCREEN_DIGITS and 200 < factor.DESCENT_ROWS
     config = cfg(b=b, n=n, trials=200, seed=7)
     want = sum(
         1
