@@ -25,7 +25,9 @@ candidates.  No vector is decided, and none is marked, one at a time:
 the largest array is the marks of the cores of the top degree.  A core
 is held only as its plane words, read from tables (`_core_words`), and
 its number of digits >= s is the popcount of its plane s.  With more
-than one worker the degrees run on worker processes.
+than one worker the degrees run on worker processes, once the sieve
+makes at least `POOL_BREAK_EVEN` core products (`_product_count`, a
+closed form); a smaller sieve costs less than starting the pool.
 
 The shard plan of the checkpointed census is the n valuation ranges of
 the space (`_valuation_range`): range t holds the vectors x^t * c, a
@@ -33,7 +35,8 @@ contiguous index range fixed by (b, n, space) alone, so a checkpoint
 resumes at any worker count.  A shard counts the vectors of its range,
 and the checkpoint header carries the tally marker "valuations", so a
 checkpoint of an earlier tally is rejected, not merged.  `run_shards`
-runs the sieve's degrees and the density sampler's chunks.
+runs the sieve's degrees and the density sampler's chunks, in this
+process or on a pool, by the estimated cost of the plan.
 
 The partition census splits the same space into seven deviation classes
 keyed on support sizes and factorization shapes, evaluating the explicit
@@ -58,7 +61,6 @@ import json
 import math
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,26 +85,54 @@ def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
         raise BudgetExceeded(f"{what} exceed the budget of {DEFAULT_BUDGET}{unit}")
 
 
-def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int = 1) -> Iterator:
+# The estimated one-worker cost, in steps, from which a plan of two or
+# more jobs runs on a pool.  A step is a product of two cores in the
+# census sieve (30-60 ns) or a digit plane of a draw in sampled density
+# (90-400 ns, the most at b >= 3).  Starting a pool of two costs 11-14
+# ms, and a density chunk runs 20-30% slower in a fresh worker, so on a
+# 2-core Xeon a second worker pays from 70-100 ms of one-worker work
+# (in-process `cli.main` medians, one worker against two): density b=3
+# n=20 4096 draws (164k steps) 40 against 41 ms, b=4 n=24 4096 draws
+# (295k) 56 against 52 ms, census b=2 n=17 (240k) 18 against 33 ms.  The
+# break-even sits at the density plans, whose steps cost the most, so no
+# plan that a pool speeds up runs in-process; census sieves between it
+# and about 2M products (b=2 n=18: 31 against 39 ms) still start a pool.
+POOL_BREAK_EVEN = 250_000
+
+
+def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int, cost: float) -> Iterator:
     """Yield fn(*job) for each job, in job order, as each result arrives.
 
-    With more than one worker and more than one job the jobs run on a pool
-    of min(workers, len(jobs)) processes (fn and the jobs must pickle);
-    otherwise they run in this process.  The workers ignore SIGINT, so an
-    interrupt reaches this process alone.  When it, or anything else,
-    ends the iteration early, the jobs not yet started are cancelled and
-    the pool shuts down once the running ones finish.
+    cost is the plan's estimated one-worker time in the steps of
+    POOL_BREAK_EVEN.  With more than one worker, more than one job and a
+    cost of at least POOL_BREAK_EVEN the jobs run on a pool of
+    min(workers, len(jobs), usable cores) processes (fn and the jobs must
+    pickle); otherwise they run in this process, which then never imports
+    the pool's module.  The workers ignore SIGINT, so an interrupt reaches
+    this process alone.  When it, or anything else, ends the iteration
+    early, the jobs not yet started are cancelled and the pool shuts down
+    once the running ones finish.
     """
-    workers = min(workers, len(jobs))
-    if workers <= 1:
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(jobs), cores)
+    if workers <= 1 or cost < POOL_BREAK_EVEN:
         for job in jobs:
             yield fn(*job)
         return
-    pool = ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
+    pool = _start_pool(workers)
     try:
         yield from pool.map(fn, *zip(*jobs))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _start_pool(workers: int):
+    """A pool of `workers` processes that ignore SIGINT.  Importing its
+    module adds about 10 ms and 2 MB to a run, so it is imported here, by
+    the first pool."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,6 +281,14 @@ def _core_products(b: int, m: int) -> Iterator[tuple[int, np.ndarray, np.ndarray
                 yield dg, chunk, fs, rank.ravel()
 
 
+def _product_count(b: int, m: int) -> int:
+    """The number of products g*f that `_core_products` makes for degree
+    m >= 2: for each of the m // 2 degrees dg, the cores of degree dg
+    times those of degree m - dg, and a degree d >= 1 has (b-1)^2 b^(d-1)
+    cores."""
+    return m // 2 * (b - 1) ** 4 * b ** (m - 2)
+
+
 def _sieve_degree(b: int, m: int) -> tuple[int, int]:
     """The reducible cores of degree m: how many, and how many of them have
     a digit b-1.  Each product marks its rank; the marks are then counted a
@@ -272,7 +310,8 @@ def _reducible_counts(b: int, n: int, workers: int = 1) -> list[tuple[int, int]]
     products."""
     counts = [(0, 0)] * n
     degrees = range(n - 1, 1, -1)
-    with contextlib.closing(run_shards(_sieve_degree, [(b, m) for m in degrees], workers)) as parts:
+    cost = sum(_product_count(b, m) for m in degrees)
+    with contextlib.closing(run_shards(_sieve_degree, [(b, m) for m in degrees], workers, cost)) as parts:
         for m, part in zip(degrees, parts):
             counts[m] = part
     return counts

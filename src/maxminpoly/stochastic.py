@@ -3,7 +3,9 @@
 All randomness flows from numpy's PCG64 generator.  A run is split into
 fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
-scheduled across the workers of `census.run_shards`.  A density chunk
+scheduled across the workers of `census.run_shards`, which starts them
+only for a plan of at least `census.POOL_BREAK_EVEN` digit planes (any
+plan of two chunks of draws longer than a word).  A density chunk
 counts its irreducible draws with `factor._count_irreducible`, which
 decides a block of digit rows at once.  An exhaustive run takes the
 census's record, whose classes, candidates and primes are counted per
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import census as census_mod, factor
 from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE
-from .core import MaxMinPoly, _trim, check_base
+from .core import WORD, MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
 
 GENERATOR_ID = "numpy.PCG64"
@@ -179,7 +181,12 @@ def density_experiment(config: ExperimentConfig, *, exhaustive: bool = False, wo
         lo, hi = wilson_interval(rec.irreducible, rec.total)
         return DensityReport(float(frac), lo, hi, rec.total, rec.irreducible, True)
     jobs = [(rng, size, config) for rng, size in _chunk_rngs(config.seed, config.trials)]
-    hits = sum(census_mod.run_shards(_density_chunk, jobs, workers))
+    # a step of the cost is a digit plane of a draw.  A draw longer than a
+    # word goes to the depth-first search, at 5-10 times the time a step
+    # (b=2 n=65..256: 75-260 us a draw), so two chunks of them always
+    # repay a pool.
+    cost = config.trials * n * (b - 1) if n <= WORD else math.inf
+    hits = sum(census_mod.run_shards(_density_chunk, jobs, workers, cost))
     lo, hi = wilson_interval(hits, config.trials)
     return DensityReport(hits / config.trials, lo, hi, config.trials, hits, False)
 

@@ -330,11 +330,19 @@ def test_class_is_invariant_under_reversal(b):
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_run_shards_keeps_job_order(workers):
-    # the first job is the largest, so with two workers it finishes last
+    # the first job is the largest, so with two workers it finishes last;
+    # an unbounded cost starts a real pool whenever there are two workers
     jobs = [(2, 16, census.ALL_VECTORS), (2, 3, census.ALL_VECTORS), (3, 4, census.EXACT_DEGREE), (2, 1, census.ALL_VECTORS)]
-    parts = list(census.run_shards(census.census, jobs, workers))
+    parts = list(census.run_shards(census.census, jobs, workers, math.inf))
     assert parts == [census.census(*job) for job in jobs]
-    assert list(census.run_shards(census.census, [], workers)) == []
+    assert list(census.run_shards(census.census, [], workers, math.inf)) == []
+
+
+@pytest.mark.parametrize("b", (2, 3, 4, 10))
+def test_product_count_is_what_the_sieve_multiplies(b):
+    # the sieve runs degrees m >= 2; lower ones have no products
+    for m in range(2, {2: 12, 3: 8, 4: 7, 10: 4}[b]):
+        assert census._product_count(b, m) == sum(len(rank) for *_, rank in census._core_products(b, m)), m
 
 
 @pytest.mark.parametrize("workers", (1, 2))

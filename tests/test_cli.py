@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -199,11 +200,12 @@ def test_density_exhaustive_honours_threads(capsys):
 @pytest.fixture
 def pools(tmp_path, monkeypatch):
     """The worker count of each process pool built, with the pool
-    replaced by one that runs the jobs in-process."""
+    replaced by one that runs the jobs in-process, on a host of 64 usable
+    cores."""
     built = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             built.append({"max_workers": max_workers})
 
         def map(self, fn, *iterables):
@@ -213,36 +215,158 @@ def pools(tmp_path, monkeypatch):
             pass
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census, "_start_pool", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     return built
 
 
-@pytest.mark.parametrize("threads", (1, 2))
-@pytest.mark.parametrize(
-    "argv",
-    (
-        ["census", "--b", "2", "--n", "6"],
-        ["census", "--b", "2", "--n", "6", "--resume", "ck.json"],
-        ["density", "--b", "2", "--n", "6", "--trials", "4096", "--seed", "1"],
-        ["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"],
-    ),
+# (argv, the plan's cost in steps: core products of the sieve, digit
+# planes of the draws)
+PLANS = (
+    (["census", "--b", "2", "--n", "6"], 27),
+    (["census", "--b", "2", "--n", "6", "--resume", "ck.json"], 27),
+    (["density", "--b", "2", "--n", "6", "--trials", "4096", "--seed", "1"], 4096 * 6),
+    (["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"], 27),
 )
-def test_threaded_runs_build_one_pool(argv, threads, pools, capsys):
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("argv, cost", PLANS, ids=[f"argv{i}" for i in range(len(PLANS))])
+def test_threaded_runs_build_one_pool(argv, cost, threads, pools, monkeypatch, capsys):
+    # a plan whose cost reaches the break-even
+    monkeypatch.setattr(census, "POOL_BREAK_EVEN", cost)
     run_json(capsys, *argv, "--threads", str(threads))
     assert pools == ([{"max_workers": 2}] if threads == 2 else [])
 
 
-def test_pool_is_no_larger_than_the_job_list(pools, capsys):
+@pytest.mark.parametrize("argv, cost", PLANS, ids=[f"argv{i}" for i in range(len(PLANS))])
+def test_plans_under_the_break_even_build_no_pool(argv, cost, pools, monkeypatch, capsys):
+    monkeypatch.setattr(census, "POOL_BREAK_EVEN", cost + 1)
+    run_json(capsys, *argv, "--threads", "2")
+    assert pools == []
+
+
+@pytest.mark.parametrize(
+    "argv, pooled",
+    (
+        # 23,211 core products and 4096 * 28 digit planes: the benchmark's
+        # --threads 2 runs
+        (["census", "--b", "2", "--n", "14"], False),
+        (["density", "--b", "2", "--n", "28", "--trials", "4096", "--seed", "1"], False),
+        (["census", "--b", "2", "--n", "18", "--space", "exact-degree"], True),
+        # draws longer than a word go to the depth-first search
+        (["density", "--b", "2", "--n", "65", "--trials", "2049", "--seed", "1"], True),
+    ),
+)
+def test_only_plans_that_repay_a_pool_start_one(argv, pooled, pools, capsys):
+    run_json(capsys, *argv, "--threads", "2")
+    assert pools == ([{"max_workers": 2}] if pooled else [])
+
+
+def test_pool_is_no_larger_than_the_job_list(pools, monkeypatch, capsys):
     # the b=2 n=4 sieve is two degrees, 3 and 2; one 2048-draw chunk runs
     # in-process
+    monkeypatch.setattr(census, "POOL_BREAK_EVEN", 0)
     run_json(capsys, "census", "--b", "2", "--n", "4", "--threads", "64")
     run_json(capsys, "density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--threads", "2")
     assert pools == [{"max_workers": 2}]
 
 
+def test_pool_is_no_larger_than_the_usable_cores(pools, monkeypatch, capsys):
+    # six sieve degrees and five chunks on three usable cores
+    monkeypatch.setattr(census, "POOL_BREAK_EVEN", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    run_json(capsys, "census", "--b", "2", "--n", "8", "--threads", "64")
+    run_json(capsys, "density", "--b", "2", "--n", "6", "--trials", "10000", "--seed", "1", "--threads", "5000")
+    run_json(capsys, "census", "--b", "2", "--n", "8", "--threads", "2")
+    assert pools == [{"max_workers": 3}, {"max_workers": 3}, {"max_workers": 2}]
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The worker count of each real process pool started."""
+    counts = []
+    start = census._start_pool
+
+    def recording(workers):
+        counts.append(workers)
+        return start(workers)
+
+    monkeypatch.setattr(census, "_start_pool", recording)
+    return counts
+
+
+def test_pooled_runs_leave_no_process_behind(started, monkeypatch, capsys):
+    monkeypatch.setattr(census, "POOL_BREAK_EVEN", 0)
+    run_json(capsys, "census", "--b", "2", "--n", "10", "--threads", "2")
+    assert started == [2] and multiprocessing.active_children() == []
+    run_json(capsys, "density", "--b", "2", "--n", "8", "--trials", "4096", "--seed", "1", "--threads", "2")
+    assert started == [2, 2] and multiprocessing.active_children() == []
+
+
+# small runs at --threads 2, then, with the break-even at 0, one that
+# starts a pool; prints whether the pool's modules were imported after each
+LAZY_IMPORT = """
+import json, sys
+from maxminpoly import census, cli
+
+loaded = lambda: [name in sys.modules for name in ("concurrent.futures", "concurrent.futures.process")]
+cli.build_parser()
+cli.main(["census", "--b", "2", "--n", "14", "--threads", "2"])
+cli.main(["census", "--b", "2", "--n", "12", "--resume", sys.argv[1], "--threads", "2"])
+cli.main(["density", "--b", "2", "--n", "28", "--trials", "4096", "--seed", "1", "--threads", "2"])
+small = loaded()
+census.POOL_BREAK_EVEN = 0
+cli.main(["census", "--b", "2", "--n", "8", "--threads", "2"])
+print(json.dumps([small, loaded()]))
+"""
+
+
+def test_a_run_without_a_pool_never_imports_it(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORT, str(tmp_path / "ck.json")], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False], [True, True]]
+
+
+# (argv, whether it starts a pool at --threads 2 and 4): each kind of run
+# on both sides of the break-even
+IDENTITY_RUNS = (
+    (["census", "--b", "2", "--n", "12"], False),
+    (["census", "--b", "2", "--n", "18"], True),
+    (["census", "--b", "3", "--n", "8", "--space", "exact-degree"], False),
+    (["census", "--b", "2", "--n", "18", "--space", "exact-degree"], True),
+    (["census", "--b", "2", "--n", "12", "--resume", "ck.json"], False),
+    (["census", "--b", "2", "--n", "18", "--resume", "ck.json"], True),
+    (["density", "--b", "2", "--n", "28", "--trials", "4096", "--seed", "3"], False),
+    (["density", "--b", "3", "--n", "20", "--trials", "8192", "--seed", "3", "--space", "exact-degree"], True),
+    (["density", "--b", "2", "--n", "12", "--trials", "8", "--seed", "3", "--exhaustive"], False),
+    (["density", "--b", "2", "--n", "18", "--trials", "8", "--seed", "3", "--exhaustive"], True),
+)
+
+
+@pytest.mark.parametrize("argv, pooled", IDENTITY_RUNS)
+def test_output_does_not_depend_on_the_worker_count(argv, pooled, started, tmp_path, monkeypatch, capsys):
+    # four usable cores, so that --threads 4 starts four workers; stdout is
+    # compared byte for byte but for the echoed flag
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    outs = set()
+    for threads in (1, 2, 4):
+        (tmp_path / "ck.json").unlink(missing_ok=True)
+        code, out = run(capsys, *argv, "--threads", str(threads))
+        assert code == 0 and out.count(f'"threads": {threads}') == 1, out
+        outs.add(out.replace(f'"threads": {threads}', ""))
+    assert len(outs) == 1
+    assert started == ([2, 4] if pooled else [])
+
+
 def test_resume_with_threads_writes_the_shard_plan(pools, tmp_path, capsys):
     rep = run_json(capsys, "census", "--b", "2", "--n", "14", "--resume", "ck.json", "--threads", "2")
-    assert pools == [{"max_workers": 2}]
+    # a sieve of 23,211 core products runs in-process
+    assert pools == []
     assert rep["record"] == dataclasses.asdict(census.census(2, 14))
     state = json.loads((tmp_path / "ck.json").read_text())
     assert "shard_size" not in state and state["tally"] == "valuations"
@@ -305,12 +429,15 @@ def test_resume_rejects_a_checkpoint_of_index_ranges(tmp_path, capsys):
 
 
 # `census --resume` with each sieve degree slowed down and recorded as it
-# starts and as it ends; the forked workers find the slowed function in
-# __main__
+# starts and as it ends, on a pool of two whatever its cost and the
+# host's cores; the forked workers find the slowed function in __main__
 SLOW_SIEVE = """
-import sys, time
+import os, sys, time
 from pathlib import Path
 from maxminpoly import census, cli
+
+census.POOL_BREAK_EVEN = 0
+os.sched_getaffinity = lambda pid: {0, 1}
 
 sieve = census._sieve_degree
 
