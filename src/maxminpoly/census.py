@@ -25,9 +25,10 @@ candidates.  No vector is decided, and none is marked, one at a time:
 the largest array is the marks of the cores of the top degree.  A core
 is held only as its plane words, read from tables (`_core_words`), and
 its number of digits >= s is the popcount of its plane s.  With more
-than one worker the degrees run on worker processes, once the sieve
-makes at least `POOL_BREAK_EVEN` core products (`_product_count`, a
-closed form); a smaller sieve costs less than starting the pool.
+than one worker the degrees run on worker processes, once the sieve's
+core products (`_product_count`, a closed form), at `PRODUCT_PLANES`
+digit planes each, reach `POOL_BREAK_EVEN`; a smaller sieve costs less
+than starting the pool.
 
 The shard plan of the checkpointed census is the n valuation ranges of
 the space (`_valuation_range`): range t holds the vectors x^t * c, a
@@ -69,12 +70,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .core import BLOCK_ROWS, WORD, MaxMinPoly, _times_block, _trim, check_base
+from .core import ALL_VECTORS, BLOCK_ROWS, EXACT_DEGREE, SPACES, WORD, MaxMinPoly, _times_block, _trim, check_base
 from .errors import BoundExceeded, BudgetExceeded
-
-ALL_VECTORS = "all-vectors"
-EXACT_DEGREE = "exact-degree"
-SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -85,25 +82,28 @@ def _check_budget(count: int, what: str, force: bool, unit: str = "") -> None:
         raise BudgetExceeded(f"{what} exceed the budget of {DEFAULT_BUDGET}{unit}")
 
 
-# The estimated one-worker cost, in steps, from which a plan of two or
-# more jobs runs on a pool.  A step is a product of two cores in the
-# census sieve (30-60 ns) or a digit plane of a draw in sampled density
-# (90-400 ns, the most at b >= 3).  Starting a pool of two costs 11-14
-# ms, and a density chunk runs 20-30% slower in a fresh worker, so on a
-# 2-core Xeon a second worker pays from 70-100 ms of one-worker work
-# (in-process `cli.main` medians, one worker against two): density b=3
-# n=20 4096 draws (164k steps) 40 against 41 ms, b=4 n=24 4096 draws
-# (295k) 56 against 52 ms, census b=2 n=17 (240k) 18 against 33 ms.  The
-# break-even sits at the density plans, whose steps cost the most, so no
-# plan that a pool speeds up runs in-process; census sieves between it
-# and about 2M products (b=2 n=18: 31 against 39 ms) still start a pool.
+# The estimated one-worker cost, in digit planes, from which a plan of
+# two or more jobs runs on a pool.  A digit plane of a density draw costs
+# 90-400 ns (the most at b >= 3), a product of two cores in the census
+# sieve 30-60 ns, and a census pays for a pool from about 2M products,
+# eight times the planes from which density does, so a product counts as
+# PRODUCT_PLANES of a plane.  Starting a pool of two costs 11-14 ms, and
+# a density chunk runs 20-30% slower in a fresh worker, so on a 2-core
+# Xeon a second worker pays from 60-100 ms of one-worker work.
+# In-process `cli.main` medians of 11 rounds, one worker against a pool
+# of two (planes in brackets): census b=2 n=18 (63k) 19 against 33 ms,
+# b=2 n=19 (137k) 36 against 45 ms, b=4 n=9 (206k) 67 against 82 ms, b=2
+# n=20 (284k) 74 against 65 ms, b=3 n=12 (288k) 88 against 75 ms;
+# density b=3 n=20 4096 draws (164k) 29 against 42 ms, b=4 n=24 4096
+# draws (295k) 78 against 67 ms.
 POOL_BREAK_EVEN = 250_000
+PRODUCT_PLANES = 1 / 8
 
 
 def run_shards(fn: Callable, jobs: Sequence[tuple], workers: int, cost: float) -> Iterator:
     """Yield fn(*job) for each job, in job order, as each result arrives.
 
-    cost is the plan's estimated one-worker time in the steps of
+    cost is the plan's estimated one-worker time in the digit planes of
     POOL_BREAK_EVEN.  With more than one worker, more than one job and a
     cost of at least POOL_BREAK_EVEN the jobs run on a pool of
     min(workers, len(jobs), usable cores) processes (fn and the jobs must
@@ -310,7 +310,7 @@ def _reducible_counts(b: int, n: int, workers: int = 1) -> list[tuple[int, int]]
     products."""
     counts = [(0, 0)] * n
     degrees = range(n - 1, 1, -1)
-    cost = sum(_product_count(b, m) for m in degrees)
+    cost = sum(_product_count(b, m) for m in degrees) * PRODUCT_PLANES
     with contextlib.closing(run_shards(_sieve_degree, [(b, m) for m in degrees], workers, cost)) as parts:
         for m, part in zip(degrees, parts):
             counts[m] = part

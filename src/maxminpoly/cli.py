@@ -6,6 +6,12 @@ commands, the seed and generator identity.  Randomized subcommands
 require an explicit --seed.  Exit codes: 0 success, 1 domain error (an
 input too large for memory or for the search's recursion depth among
 them), 2 usage error.
+
+Start-up loads only core and factor, which decide one input at a time
+in pure Python.  The numpy-backed modules (census, series, stochastic),
+and numpy with them, are imported inside the subcommands that call
+them, so classify, factor, divide, sumset and decompose-set, the parser
+and a usage error never load numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import sys
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 
-from . import __version__, census, core, factor, series, stochastic
+from . import __version__, core, factor
 from .errors import MaxMinError
 
 
@@ -43,8 +49,10 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str] | None = Non
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "format") and v is not None}
     report = {"version": __version__, "flags": _jsonable(flags)}
     if "seed" in flags:
+        from .stochastic import GENERATOR_ID
+
         report["seed"] = flags["seed"]
-        report["generator"] = stochastic.GENERATOR_ID
+        report["generator"] = GENERATOR_ID
     report.update(_jsonable(payload))
     print(json.dumps(report, indent=2, sort_keys=True))
 
@@ -104,6 +112,8 @@ def _inf_to_null(values) -> list:
 
 
 def _cmd_census(args) -> None:
+    from . import census
+
     if args.resume:
         rec = census.census_with_checkpoint(
             args.b, args.n, args.space, args.resume, workers=args.threads, force=args.force
@@ -114,6 +124,8 @@ def _cmd_census(args) -> None:
 
 
 def _cmd_partition(args) -> None:
+    from . import census
+
     params = census.BoundParams.make(args.d, args.v)
     part = census.partition_census(args.b, args.n, params, force=args.force)
     _emit(
@@ -131,24 +143,32 @@ def _cmd_partition(args) -> None:
 
 
 def _cmd_close_pairs(args) -> None:
+    from . import census
+
     count = census.close_pair_count(args.n, args.k, args.d, force=args.force)
     bound = census.close_pair_bound(args.n, args.k, args.d)
     _emit(args, {"count": count, "bound": bound, "holds": count <= bound})
 
 
 def _cmd_density(args) -> None:
+    from . import stochastic
+
     config = stochastic.ExperimentConfig(seed=args.seed, trials=args.trials, b=args.b, n=args.n, space=args.space)
     rep = stochastic.density_experiment(config, exhaustive=args.exhaustive, workers=args.threads)
     _emit(args, {"report": rep})
 
 
 def _cmd_hoeffding(args) -> None:
+    from . import stochastic
+
     config = stochastic.ExperimentConfig(seed=args.seed, trials=args.trials, b=args.b, n=args.n)
     rep = stochastic.hoeffding_experiment(config, args.i, args.eps)
     _emit(args, {"report": rep})
 
 
 def _cmd_bounds(args) -> None:
+    from . import census, stochastic
+
     if args.schedule_default:
         params = stochastic.default_params(args.n)
     else:
@@ -170,6 +190,8 @@ def _cmd_bounds(args) -> None:
 
 
 def _cmd_t2(args) -> None:
+    from . import series
+
     if args.nmax < 1:
         raise ValueError(f"nmax must be >= 1, got {args.nmax}")
     rows = []
@@ -189,6 +211,8 @@ def _cmd_t2(args) -> None:
 
 
 def _cmd_series_scan(args) -> None:
+    from . import series
+
     stream = series.read_stream(args.file)
     if args.pattern is not None:
         pattern = tuple(int(tok) for tok in args.pattern.split(","))
@@ -279,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="exhaustive classification counts")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--space", choices=census.SPACES, default=census.ALL_VECTORS)
+    p.add_argument("--space", choices=core.SPACES, default=core.ALL_VECTORS)
     p.add_argument("--resume", metavar="FILE", help="checkpoint file to create or resume")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--force", action="store_true", help="override the enumeration budget")
@@ -308,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--space", choices=census.SPACES, default=census.ALL_VECTORS)
+    p.add_argument("--space", choices=core.SPACES, default=core.ALL_VECTORS)
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--threads", type=int, default=1)
     common(p, lenient=False)

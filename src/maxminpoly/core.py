@@ -25,7 +25,10 @@ bytes (_unpack_bytes), not as a tuple.  The kernel has a block form
 block of factors is a numpy array with one row per plane and one uint64
 word (WORD bits) per factor, and a chunk of second factors, in the same
 form, multiplies every first factor in one masked shift and OR per
-coefficient position.
+coefficient position.  It is the one numpy function of this module and
+imports numpy in its own body, so that the commands that decide one
+input at a time (classify, factor, divide, decompose-set, sumset) start
+without loading numpy.
 Packing and unpacking are linear in the packed size: every digit fits one
 octet (MAX_BASE = 256), so a plane is one bytes.translate of the digit
 string and one int() parse, and unpacking sums the planes as base-256
@@ -41,9 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     BaseMismatch,
@@ -53,6 +54,9 @@ from .errors import (
     ZeroPolynomial,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MIN_BASE = 2
 MAX_BASE = 256
 # bits of the plane words of the block kernels: a block row holds at most
@@ -61,6 +65,12 @@ WORD = 64
 # rows of one block of the block kernels and enumerations; a block of
 # products holds at most this many plane words
 BLOCK_ROWS = 1 << 16
+
+# the two enumeration spaces of a census or a sample: every vector of n
+# digits, or only those whose digit n-1 is nonzero
+ALL_VECTORS = "all-vectors"
+EXACT_DEGREE = "exact-degree"
+SPACES = (ALL_VECTORS, EXACT_DEGREE)
 
 
 def check_base(b: int) -> int:
@@ -249,6 +259,8 @@ def _times_block(block: np.ndarray, gs: np.ndarray) -> Iterator[tuple[np.ndarray
     allocator return heap pages and fault them in again (12k page faults
     in a b=10 n=5 census, 0.5k now).  Yielded products are overwritten by
     the next chunk."""
+    import numpy as np
+
     step = max(1, BLOCK_ROWS // block.size)
     positions = np.arange(int(np.bitwise_or.reduce(gs[0])).bit_length(), dtype=np.uint64)
     # the mask of position j: bit j of each plane of each g

@@ -98,7 +98,9 @@ position are an interval: from the highest plane that the rest still
 holds up to the first plane whose rest the part misses.  An input is
 reducible once one of its degrees reaches an exact leaf and irreducible
 once none has a node left.  The plane-word form builds no witness,
-which only the depth-first search returns.
+which only the depth-first search returns.  It is the module's only
+numpy code, and its two functions import numpy in their own bodies, so
+a process that only classifies, factors or divides never loads numpy.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
@@ -109,9 +111,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import core
 from .core import BLOCK_ROWS, WORD, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _trim, _unpack
@@ -121,6 +121,9 @@ from .errors import (
     ZeroDivisor,
     ZeroPolynomial,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the plane-word decision's two fixed costs, each paid only where the
 # depth-first search would spend more: its root test (a few dozen numpy
@@ -413,6 +416,8 @@ def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     still have a node once its frontier grows past BLOCK_ROWS // (kept
     rows) nodes, so a level holds at most BLOCK_ROWS nodes.
     """
+    import numpy as np
+
     rows, n = digits.shape
     top = (n - 1) // 2
     planes = b - 1
@@ -538,6 +543,8 @@ def _count_irreducible(b: int, digits: np.ndarray) -> int:
     back is irreducible, and the depth-first search decides the rows it
     hands back on the degrees they still have open.  The search decides
     every row of any other block on every degree."""
+    import numpy as np
+
     rows, n = digits.shape
     hits = 0
     degrees = itertools.repeat(None)

@@ -5,12 +5,15 @@ fixed-size trial chunks; chunk i draws from the i-th child of the seed
 sequence, so results are bit-identical regardless of how chunks are
 scheduled across the workers of `census.run_shards`, which starts them
 only for a plan of at least `census.POOL_BREAK_EVEN` digit planes (any
-plan of two chunks of draws longer than a word).  A density chunk
-counts its irreducible draws with `factor._count_irreducible`, which
-decides a block of digit rows at once.  An exhaustive run takes the
+plan of two chunks of draws longer than a word); the census sieve states
+its cost in the same unit.  A density chunk counts its irreducible draws
+with `factor._count_irreducible`, which decides a block of digit rows at
+once.  An exhaustive run takes the
 census's record, whose classes, candidates and primes are counted per
 core degree by `census._range_record` alone.  Every report records the
-generator identity.
+generator identity.  The CLI imports this module, and numpy with it,
+only for the commands that sample or bound (density, hoeffding, bounds)
+and for the generator identity of a seeded report.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Iterator
 import numpy as np
 
 from . import census as census_mod, factor
-from .census import ALL_VECTORS, BoundParams, EXACT_DEGREE
-from .core import WORD, MaxMinPoly, _trim, check_base
+from .census import BoundParams
+from .core import ALL_VECTORS, EXACT_DEGREE, WORD, MaxMinPoly, _trim, check_base
 from .errors import LevelOutOfRange
 
 GENERATOR_ID = "numpy.PCG64"

@@ -18,6 +18,11 @@ from test_census import _per_vector_record
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def _src_env():
+    """The environment of a fresh interpreter that imports the package from SRC."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -220,13 +225,13 @@ def pools(tmp_path, monkeypatch):
     return built
 
 
-# (argv, the plan's cost in steps: core products of the sieve, digit
-# planes of the draws)
+# (argv, the plan's cost in digit planes: the sieve's 27 core products at
+# PRODUCT_PLANES each, the digit planes of the draws)
 PLANS = (
-    (["census", "--b", "2", "--n", "6"], 27),
-    (["census", "--b", "2", "--n", "6", "--resume", "ck.json"], 27),
+    (["census", "--b", "2", "--n", "6"], 27 * census.PRODUCT_PLANES),
+    (["census", "--b", "2", "--n", "6", "--resume", "ck.json"], 27 * census.PRODUCT_PLANES),
     (["density", "--b", "2", "--n", "6", "--trials", "4096", "--seed", "1"], 4096 * 6),
-    (["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"], 27),
+    (["density", "--b", "2", "--n", "6", "--trials", "8", "--seed", "1", "--exhaustive"], 27 * census.PRODUCT_PLANES),
 )
 
 
@@ -253,9 +258,14 @@ def test_plans_under_the_break_even_build_no_pool(argv, cost, pools, monkeypatch
         # --threads 2 runs
         (["census", "--b", "2", "--n", "14"], False),
         (["density", "--b", "2", "--n", "28", "--trials", "4096", "--seed", "1"], False),
-        (["census", "--b", "2", "--n", "18", "--space", "exact-degree"], True),
+        # 2,271,915 core products, above the break-even at an eighth of a
+        # plane each
+        (["census", "--b", "2", "--n", "20", "--space", "exact-degree"], True),
         # draws longer than a word go to the depth-first search
         (["density", "--b", "2", "--n", "65", "--trials", "2049", "--seed", "1"], True),
+        # 502,443 and 324,405 core products, under it
+        (["census", "--b", "2", "--n", "18"], False),
+        (["census", "--b", "4", "--n", "8"], False),
     ),
 )
 def test_only_plans_that_repay_a_pool_start_one(argv, pooled, pools, capsys):
@@ -323,27 +333,114 @@ print(json.dumps([small, loaded()]))
 
 
 def test_a_run_without_a_pool_never_imports_it(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", LAZY_IMPORT, str(tmp_path / "ck.json")], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", LAZY_IMPORT, str(tmp_path / "ck.json")], env=_src_env(), capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[False, False], [True, True]]
+
+
+# imports the package, builds the parser and runs the commands that
+# decide one input at a time, a usage error and a domain error, then a
+# census; prints which numpy-backed modules were loaded after each step
+STARTUP_IMPORTS = """
+import contextlib, io, json, sys
+
+NUMPY_MODULES = ("numpy", "maxminpoly.census", "maxminpoly.series", "maxminpoly.stochastic")
+loaded = lambda: [name for name in NUMPY_MODULES if name in sys.modules]
+seen = {}
+import maxminpoly
+seen["import"] = loaded()
+from maxminpoly import cli
+cli.build_parser()
+seen["parser"] = loaded()
+steps = {
+    "classify": ["classify", "2:1,1,0,1,1,0,1,1,1,0,0,1,1,0,1,1,1,0,1,1,0,1,1,1,1,0,0,1,1"],
+    "factor": ["factor", "3:1,2,0,2,1,1,0,2,1", "--all"],
+    "divide": ["divide", "2:1,1,1,1", "2:1,1"],
+    "decompose-set": ["decompose-set", "0,1,2,3,5"],
+    "sumset": ["sumset", "0,1", "0,2"],
+    "usage error": ["classify"],
+    "domain error": ["classify", "2:0,2"],
+    "census": ["census", "--b", "2", "--n", "6"],
+}
+for step, argv in steps.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    seen[step] = [code, loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_start_up_and_one_input_commands_never_import_numpy():
+    proc = subprocess.run([sys.executable, "-c", STARTUP_IMPORTS], env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen.pop("import") == seen.pop("parser") == []
+    census_code, census_loaded = seen.pop("census")
+    assert census_code == 0 and "numpy" in census_loaded
+    codes = {step: code for step, (code, _) in seen.items()}
+    assert codes == {"classify": 0, "factor": 0, "divide": 0, "decompose-set": 0, "sumset": 0, "usage error": 2, "domain error": 1}
+    assert all(modules == [] for _, modules in seen.values()), seen
+
+
+# every subcommand once, with small arguments
+EVERY_SUBCOMMAND = (
+    ["classify", "2:0,1,1,0,1", "--format", "text"],
+    ["factor", "2:1,1,1,1", "--all"],
+    ["divide", "2:0,1,1,0,1", "2:0,1"],
+    ["census", "--b", "2", "--n", "8", "--threads", "2"],
+    ["partition", "--b", "2", "--n", "6", "--d", "2", "--v", "2"],
+    ["close-pairs", "--n", "6", "--k", "1", "--d", "1"],
+    ["density", "--b", "3", "--n", "8", "--trials", "300", "--seed", "1", "--threads", "2"],
+    ["hoeffding", "--b", "2", "--n", "8", "--i", "1", "--eps", "0.1", "--trials", "50", "--seed", "1"],
+    ["bounds", "--b", "2", "--n", "20", "--schedule-default"],
+    ["t2", "--b", "3", "--nmax", "3", "--format", "csv"],
+    ["series-scan", "--file", "stream.txt", "--pattern", "1,0,1"],
+    ["sumset", "0,1", "0,2"],
+    ["decompose-set", "0,1,2,3"],
+)
+
+
+def test_every_subcommand_prints_the_same_in_a_fresh_process(tmp_path, monkeypatch, capsys):
+    # a fresh interpreter imports only what the command itself imports, so
+    # a module that works only once a test has imported it fails here
+    assert {argv[0] for argv in EVERY_SUBCOMMAND} == set(next(a.choices for a in cli.build_parser()._actions if a.dest == "command"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stream.txt").write_text("2 12\n1 0 1 1 0 1 0 1 1 1 0 1\n")
+    for argv in EVERY_SUBCOMMAND:
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxminpoly.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=120
+        )
+        code, out = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout) == (code, out) and code == 0, (argv, proc.stderr)
+
+
+@pytest.mark.parametrize("argv", (["census", "--b", "1", "--n", "4"], ["classify", "2:0,2"]))
+def test_a_bad_input_in_a_fresh_process_is_one_line(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxminpoly.cli", *argv], env=_src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("DigitOutOfRange: ") and len(proc.stderr.strip().splitlines()) == 1
 
 
 # (argv, whether it starts a pool at --threads 2 and 4): each kind of run
 # on both sides of the break-even
 IDENTITY_RUNS = (
     (["census", "--b", "2", "--n", "12"], False),
-    (["census", "--b", "2", "--n", "18"], True),
+    (["census", "--b", "2", "--n", "20"], True),
     (["census", "--b", "3", "--n", "8", "--space", "exact-degree"], False),
-    (["census", "--b", "2", "--n", "18", "--space", "exact-degree"], True),
+    (["census", "--b", "2", "--n", "20", "--space", "exact-degree"], True),
     (["census", "--b", "2", "--n", "12", "--resume", "ck.json"], False),
-    (["census", "--b", "2", "--n", "18", "--resume", "ck.json"], True),
+    (["census", "--b", "2", "--n", "20", "--resume", "ck.json"], True),
     (["density", "--b", "2", "--n", "28", "--trials", "4096", "--seed", "3"], False),
     (["density", "--b", "3", "--n", "20", "--trials", "8192", "--seed", "3", "--space", "exact-degree"], True),
     (["density", "--b", "2", "--n", "12", "--trials", "8", "--seed", "3", "--exhaustive"], False),
-    (["density", "--b", "2", "--n", "18", "--trials", "8", "--seed", "3", "--exhaustive"], True),
+    (["density", "--b", "2", "--n", "20", "--trials", "8", "--seed", "3", "--exhaustive"], True),
 )
 
 
@@ -464,11 +561,10 @@ def test_interrupted_threaded_resume_ends_and_keeps_the_checkpoint(tmp_path):
     header = {"b": 2, "n": 14, "space": census.ALL_VECTORS, "tally": "valuations", "version": __version__}
     before = json.dumps({**header, "shards": []})
     path.write_text(before)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     argv = ["census", "--b", "2", "--n", "14", "--resume", str(path), "--threads", "2"]
     proc = subprocess.Popen(
         [sys.executable, "-c", SLOW_SIEVE, str(started), *argv],
-        env=env,
+        env=_src_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         start_new_session=True,
