@@ -24,8 +24,10 @@ a divisor g of degree 1 <= deg g <= deg h / 2 one coefficient at a time,
 lowest first, ANDing each choice into Q.  Leaves come in (degree,
 lexicographic) order over the little-endian coefficient tuples, so the
 first exact leaf is the first witness in that order, which makes
-classification deterministic.  The search returns that leaf (or the first
-one a caller's visitor accepts) as (g, q), and None when there is none.
+classification deterministic.  The search is a generator: it yields every
+exact leaf as (g, q) in that order and runs only as far as its consumer
+reads, so classification takes the first leaf and all_factorizations
+reads them all.
 The fixed nonzero coefficients of g are kept as a term list on a stack, one
 (mask, (k,)) pair each, so a node's prefix product costs one step per fixed
 nonzero term.
@@ -104,14 +106,16 @@ a process that only classifies, factors or divides never loads numpy.
 
 all_factorizations lists the cofactors of each divisor with a second
 search below Q that cuts a subtree once its largest completion times g
-falls below h.
+falls below h.  It walks f with an explicit stack, so a cofactor of any
+length fits; the divisor search recurses once per nonzero coefficient it
+fixes in g.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from . import core
 from .core import BLOCK_ROWS, WORD, MaxMinPoly, _mask, _pack, _repeat, _terms, _times, _trim, _unpack
@@ -259,17 +263,12 @@ def divides(g: MaxMinPoly, h: MaxMinPoly) -> bool:
 # -- the divisor search ----------------------------------------------------------
 
 
-def _divisors(
-    b: int,
-    h: Sequence[int],
-    degrees: Iterable[int],
-    visit: Optional[Callable[[tuple[int, ...], int], bool]] = None,
-) -> Optional[tuple[tuple[int, ...], int]]:
-    """The first (g, q) in (degree, lexicographic) order of g that visit
-    accepts, or None; g ranges over the divisors with g[0] != 0 and degree
-    in `degrees` whose maximal quotient q (packed at stride len(h)) is
-    exact and non-monomial.  With visit=None the first such g is taken.
-    Requires h[0] != 0.
+def _divisors(b: int, h: Sequence[int], degrees: Iterable[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every (g, q) in (degree, lexicographic) order of g, where g ranges
+    over the divisors with g[0] != 0 and degree in `degrees` whose maximal
+    quotient q (packed at stride len(h)) is exact and non-monomial.  The
+    search runs only as far as its consumer reads: a caller that takes the
+    first pair pulls no degree past it.  Requires h[0] != 0.
 
     g is fixed one coefficient at a time from the constant term up, and
     each choice ANDs into q.  Per degree, the free positions are the k in
@@ -279,7 +278,8 @@ def _divisors(
     the module docstring).
 
     The fixed nonzero coefficients of g sit on a term stack (core's term
-    list), pushed on descent and popped on return, so the prefix product
+    list), pushed on descent and popped on return (extend descends by
+    yielding from itself, one frame per fixed term), so the prefix product
     of a node costs one AND, shift and OR per fixed nonzero term, and the
     g tuple is built only at an exact leaf.  The cover bound with the
     capped completion is checked at every choice below the lead, g[0]
@@ -305,7 +305,7 @@ def _divisors(
     sat: list[int] = []
     stack: list[tuple[int, tuple[int]]] = []
 
-    def extend(j: int, q: int) -> Optional[tuple[tuple[int, ...], int]]:
+    def extend(j: int, q: int) -> Iterator[tuple[tuple[int, ...], int]]:
         # g is fixed below free[j] and zero from there up: try g[free[j]:dg]
         # all zero, then the next nonzero coefficient at the free positions
         # from the highest down to free[j], which is the lexicographic
@@ -317,9 +317,7 @@ def _divisors(
             part = (qv & mask[v]) << dg
             if upper | part == target and _times(qv, stack) | part == target:
                 g[dg] = v
-                found = (tuple(g), qv)
-                if visit is None or visit(*found):
-                    return found
+                yield tuple(g), qv
         completion = (q & mask[lead_top]) << dg
         for t in range(len(free) - 1, j - 1, -1):
             k, cap = free[t]
@@ -335,13 +333,10 @@ def _divisors(
                     continue
                 g[k] = v
                 stack.append((mask[v], (k,)))
-                found = extend(t + 1, qv)
+                yield from extend(t + 1, qv)
                 stack.pop()
-                if found:
-                    return found
             g[k] = 0
             completion |= (q & mask[cap]) << k
-        return None
 
     for dg in degrees:
         df = width - 1 - dg
@@ -382,11 +377,8 @@ def _divisors(
                 continue
             g[0] = v
             stack.append((mask[v], (0,)))
-            found = extend(0, qv)
+            yield from extend(0, qv)
             stack.pop()
-            if found:
-                return found
-    return None
 
 
 def _decide_rows(b: int, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -585,7 +577,7 @@ def _classify_generic(
         t += 1
     if degrees is None:
         degrees = range(1, (len(h) - 1 - t) // 2 + 1)
-    found = _divisors(b, h[t:], degrees)
+    found = next(_divisors(b, h[t:], degrees), None)
     return (IRREDUCIBLE, None) if found is None else (REDUCIBLE, found)
 
 
@@ -663,29 +655,38 @@ def _cofactors(b: int, h: Sequence[int], g: Sequence[int], q: int) -> Iterator[t
     is monotone.  f is fixed one coefficient at a time, lowest first, in
     increasing values, and a subtree is cut once its largest completion
     (the later coefficients at q) times g is no longer h; a leaf is its
-    own completion, so every leaf is exact.
+    own completion, so every leaf is exact.  The walk keeps an explicit
+    stack, one generator of accepted (value, completion) pairs per fixed
+    position, so its depth is not bounded by the interpreter's stack.
     """
     width = len(h)
     target = _pack(b, h, width)
     terms = list(_terms(g, width))
     top = _unpack(q, width, width - len(g) + 1)
     column = [_repeat(width, v) for v in range(b)]
-    f = [0] * len(top)
+    last = len(top) - 1
 
-    def rec(idx: int, packed: int) -> Iterator[tuple[int, ...]]:
+    def values(idx: int, packed: int) -> Iterator[tuple[int, int]]:
         # packed holds f below idx and top from idx up; its product is h
-        if idx == len(top):
-            if len(f) - f.count(0) >= 2:
-                yield tuple(f)
-            return
         rest = packed & ~(column[b - 1] << idx)
-        for v in range(1 if idx == len(top) - 1 else 0, top[idx] + 1):
+        for v in range(1 if idx == last else 0, top[idx] + 1):
             completion = rest | column[v] << idx
             if v == top[idx] or _times(completion, terms) == target:
-                f[idx] = v
-                yield from rec(idx + 1, completion)
+                yield v, completion
 
-    yield from rec(0, q)
+    f = [0] * len(top)
+    stack = [values(0, q)]
+    while stack:
+        idx = len(stack) - 1
+        for v, packed in stack[idx]:
+            f[idx] = v
+            if idx < last:
+                stack.append(values(idx + 1, packed))
+                break
+            if len(f) - f.count(0) >= 2:
+                yield tuple(f)
+        else:
+            stack.pop()
 
 
 def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list[FactorWitness]:
@@ -710,8 +711,9 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
     for dg in range(1, dh // 2 + 1):
         df = dh - dg
         for o in range(min(t, dg - 1), -1, -1):
-
-            def collect(g: tuple[int, ...], q: int) -> bool:
+            if dg - o >= dh - t:
+                continue
+            for g, q in _divisors(b, stripped, (dg - o,)):
                 shifted = (0,) * o + g
                 for f in _cofactors(b, stripped, g, q):
                     f = (0,) * (t - o) + f
@@ -719,9 +721,5 @@ def all_factorizations(h: MaxMinPoly, max_results: Optional[int] = None) -> list
                         continue
                     out.append(FactorWitness(MaxMinPoly(b, shifted), MaxMinPoly(b, f)))
                     if max_results is not None and len(out) >= max_results:
-                        return True
-                return False
-
-            if dg - o < dh - t and _divisors(b, stripped, (dg - o,), collect) is not None:
-                return out
+                        return out
     return out

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import census as census_mod, factor
 from .census import BoundParams
-from .core import ALL_VECTORS, EXACT_DEGREE, WORD, MaxMinPoly, _trim, check_base
+from .core import ALL_VECTORS, EXACT_DEGREE, WORD, MaxMinPoly, _trim
 from .errors import LevelOutOfRange
 
 GENERATOR_ID = "numpy.PCG64"
@@ -205,9 +205,7 @@ def default_params(n: int) -> BoundParams:
 
 def bound_terms(b: int, n: int, params: BoundParams) -> BoundReport:
     """Evaluate the four normalized bound terms in log space."""
-    check_base(b)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    census_mod.check_space(b, n, ALL_VECTORS)
     d = float(params.d)
     v = float(params.v)
     return BoundReport(b, n, d, v, census_mod._log_bound_terms(b, n, d, v))

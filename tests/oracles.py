@@ -231,13 +231,18 @@ def _divisor_candidates(b: int, h: Sequence[int]):
                 yield g, (q if oracle_mul(b, q, g) == tuple(h) else None)
 
 
-def oracle_first_witness(b: int, h: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """The first (g, maximal quotient) in (deg g, lex) order over every
-    divisor candidate, unpruned; None when h is irreducible or a monomial."""
+def oracle_divisors(b: int, h: Sequence[int]):
+    """Every (g, maximal quotient) in (deg g, lex) order over the divisor
+    candidates, unpruned, whose quotient is exact and non-monomial."""
     for g, q in _divisor_candidates(b, h):
         if q is not None and _nnz(q) >= 2:
-            return g, q
-    return None
+            yield g, q
+
+
+def oracle_first_witness(b: int, h: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first of oracle_divisors; None when h is irreducible or a
+    monomial."""
+    return next(oracle_divisors(b, h), None)
 
 
 def oracle_close_pairs(n: int, k: int, d: int) -> int:

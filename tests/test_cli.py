@@ -14,6 +14,7 @@ import pytest
 
 from maxminpoly import __version__, census, cli, core, factor, series
 from test_census import _per_vector_record
+from test_factor import long_cofactor_product
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -90,6 +91,15 @@ def test_factor_all(capsys):
     rep = run_json(capsys, "factor", "2:1,1,1,1", "--all")
     assert rep["class"] == "reducible"
     assert ["2:1,1", "2:1,0,1"] in rep["factorizations"]
+
+
+def test_factor_all_lists_a_long_cofactor(capsys):
+    # a 1,503-digit product whose cofactors are 1,502 digits long
+    g, h = long_cofactor_product(2, 1500)
+    rep = run_json(capsys, "factor", core.format_poly(h), "--all", "--max-results", "2")
+    assert rep["class"] == "reducible" and len(rep["factorizations"]) == 2
+    for a, c in rep["factorizations"]:
+        assert core.mul(core.parse_poly(a), core.parse_poly(c)) == h
 
 
 def test_census_csv_schema(capsys):

@@ -18,6 +18,7 @@ from maxminpoly.errors import (
 )
 from oracles import (
     all_nonzero_tuples,
+    oracle_divisors,
     oracle_factorizations,
     oracle_first_witness,
     oracle_mul,
@@ -214,9 +215,65 @@ def test_caps_hold_for_every_factor_pair():
                     if h[0] and len(g) <= len(f):
                         divisors.add(g)
             for g in divisors:
-                found = factor._divisors(b, h, (len(g) - 1,), lambda d, q: d == g)
-                assert found is not None and found[0] == g, (h, g)
+                assert g in (d for d, q in factor._divisors(b, h, (len(g) - 1,))), (h, g)
     assert tight
+
+
+def test_divisors_yield_every_exact_divisor_in_order():
+    # the search yields, per degree, exactly the unpruned reference's
+    # exact non-monomial divisors, in the same (lexicographic) order
+    for b, max_deg in ((2, 10), (3, 6), (4, 4), (5, 4)):
+        for h in product_table(b, max_deg):
+            if not h[0]:
+                continue
+            want = list(oracle_divisors(b, h))
+            for dg in range(1, (len(h) - 1) // 2 + 1):
+                got = [(g, core._unpack(q, len(h), len(h) - dg)) for g, q in factor._divisors(b, h, (dg,))]
+                assert got == [(g, q) for g, q in want if len(g) - 1 == dg], (h, dg)
+
+
+def test_classification_reads_no_degree_past_its_witness():
+    # the search pulls the degrees it is given one at a time and stops at
+    # the first exact divisor
+    pulled = []
+
+    def recording(degrees):
+        for dg in degrees:
+            pulled.append(dg)
+            yield dg
+
+    early = 0
+    for b, max_deg in ((2, 10), (3, 6)):
+        for h in product_table(b, max_deg):
+            top = (len(h) - 1 - core.order(core.MaxMinPoly(b, h))) // 2
+            pulled.clear()
+            kind, (g, q) = factor._classify_generic(b, h, recording(range(1, top + 1)))
+            assert pulled == list(range(1, len(g))), h
+            early += len(g) - 1 < top
+    assert early
+
+
+@pytest.mark.parametrize("h", (P("2:1,1,1,1,1,1,1"), P("10:9,8,9,9,8,9,9"), core.mul(P("10:9,5,9,7,9"), P("10:9,8,9,6,9"))))
+def test_capped_listing_stops_at_its_last_cofactor(h, monkeypatch):
+    # all_factorizations(h, max_results=1) reads one divisor and one of
+    # its cofactors, and no more
+    pulled = {"_divisors": 0, "_cofactors": 0}
+
+    def recording(name):
+        search = getattr(factor, name)
+
+        def wrapper(*args):
+            for item in search(*args):
+                pulled[name] += 1
+                yield item
+
+        monkeypatch.setattr(factor, name, wrapper)
+
+    recording("_divisors")
+    recording("_cofactors")
+    wits = factor.all_factorizations(h, max_results=1)
+    assert len(wits) == 1
+    assert pulled == {"_divisors": 1, "_cofactors": 1}
 
 
 def test_heavy_base10_draw_is_irreducible():
@@ -345,7 +402,7 @@ def test_root_screen_cuts_only_degrees_without_a_divisor(b, max_n, monkeypatch):
             assert not any(kept[top:]), row
             for dg in range(1, top + 1):
                 if not kept[dg - 1]:
-                    assert factor._divisors(b, stripped, (dg,)) is None, (row, dg)
+                    assert next(factor._divisors(b, stripped, (dg,)), None) is None, (row, dg)
                     cut += 1
                     cut_shifted += nonzero[0] > 0
             degrees = [dg for dg in range(1, top + 1) if kept[dg - 1]]
@@ -633,6 +690,63 @@ def test_all_factorizations_of_many_cofactor_inputs(h, first):
     assert wits == factor.all_factorizations(h)[:64]
     if first is not None:
         assert ["".join(map(str, w.g.coeffs)) + "*" + "".join(map(str, w.h.coeffs)) for w in wits] == first
+
+
+def long_cofactor_product(b, digits):
+    """(g, g*f) for g = (b-1)(1 + x), the only degree-1 divisor of g*f,
+    and f the top digit, `digits` seeded digits and the top digit again."""
+    rng = random.Random(3)
+    g = core.MaxMinPoly(b, (b - 1, b - 1))
+    f = core.MaxMinPoly(b, (b - 1, *(rng.randrange(b) for _ in range(digits)), b - 1))
+    return g, core.mul(g, f)
+
+
+def _first_cofactors(g, h, count):
+    """The first `count` f with f*g == h in lex order, by the plain max-min
+    product.  A prefix of f extends to such an f exactly when its
+    completion at the maximal quotient q does, so the first f lowers each
+    position of q, lowest first, as far as f*g == h still holds, and the
+    next f raises the last position of the one before that allows it, puts
+    the positions above back at q and lowers them again."""
+    g, h, q = g.coeffs, h.coeffs, factor.residual_divide(h, g).coeffs
+    last = len(q) - 1
+
+    def exact(f, i, j):
+        # f*g == h, given that it held before f[i..j] changed
+        return all(
+            max(min(v, f[k - m]) for m, v in enumerate(g) if 0 <= k - m <= last) == h[k] for k in range(i, j + len(g))
+        )
+
+    def lower(f, start):
+        for i in range(start, last + 1):
+            top = f[i]
+            f[i] = next(v for v in range(i == last, top + 1) if v == top or exact(f[:i] + [v] + f[i + 1 :], i, i))
+        return tuple(f)
+
+    out = [lower(list(q), 0)]
+    while len(out) < count:
+        f = out[-1]
+        i, v = next(
+            (i, v)
+            for i in range(last, -1, -1)
+            for v in range(f[i] + 1, q[i] + 1)
+            if exact([*f[:i], v, *q[i + 1 :]], i, last)
+        )
+        out.append(lower([*f[:i], v, *q[i + 1 :]], i + 1))
+    return out
+
+
+@pytest.mark.parametrize("b", (2, 3, 10))
+def test_all_factorizations_of_long_cofactors(b):
+    # the cofactor walk keeps its own stack: a cofactor of 1,502 digits
+    # lists, where one interpreter frame per digit would overflow
+    g, h = long_cofactor_product(b, 1500)
+    wits = factor.all_factorizations(h, max_results=3)
+    for w in wits:
+        assert core.mul(w.g, w.h) == h
+    keys = [(len(w.g.coeffs), w.g.coeffs, w.h.coeffs) for w in wits]
+    assert all(x < y for x, y in zip(keys, keys[1:]))
+    assert [(w.g, w.h.coeffs) for w in wits] == [(g, c) for c in _first_cofactors(g, h, 3)]
 
 
 @given(nonzero_polys(max_len=6))
